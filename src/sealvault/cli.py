@@ -158,15 +158,20 @@ def cmd_put(args: argparse.Namespace) -> int:
 
 def cmd_get(args: argparse.Namespace) -> int:
     config = CliConfig.from_args(args)
-    with _open_vault(config) as handle:
-        data = handle.read_file(args.vpath)
     dst = Path(args.dst)
-    dst.parent.mkdir(parents=True, exist_ok=True)
     tmp = dst.parent / f".sealvault-get-{os.getpid()}.tmp"
-    tmp.write_bytes(data)
-    os.replace(tmp, dst)
+    with _open_vault(config) as handle:
+        handle.read_range(args.vpath, 0, 0)  # a missing or bad file fails before dst is touched
+        dst.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            with open(tmp, "wb") as out:
+                written = handle.read_to(args.vpath, out)
+            os.replace(tmp, dst)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     if config.verbose:
-        print(f"wrote {len(data)} bytes to {dst}")
+        print(f"wrote {written} bytes to {dst}")
     return EXIT_OK
 
 

@@ -36,15 +36,19 @@ class VaultFilesystem:
 
     def open(self, path: str, mode: str = "rb") -> io.BytesIO:
         if mode == "rb":
-            return io.BytesIO(self.handle.read_file(path))
+            stream = io.BytesIO()
+            self.handle.read_to(path, stream)
+            stream.seek(0)
+            return stream
         if mode == "wb":
             return _WriteStream(self, path)
         raise ValueError(f"unsupported mode {mode!r} (use 'rb' or 'wb')")
 
     def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
         if length is None:
-            data = self.handle.read_file(path)
-            return data[offset:]
+            stream = io.BytesIO()
+            self.handle.read_to(path, stream, offset)
+            return stream.getvalue()
         return self.handle.read_range(path, offset, length)
 
     def listdir(self, path: str = "/") -> list[str]:

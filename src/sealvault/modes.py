@@ -11,6 +11,14 @@ Cleartext blocks are at most 32768 bytes; every block is bound to its
 position with AAD = file_id (16 bytes) | block index (u64 big-endian), so
 blocks cannot be swapped between files or reordered within one.
 
+The per-file cipher seam is `block_cipher(mode, keys, file_id)`: it is built
+once per file and returns a `BlockCipher` whose `encrypt_into`/`decrypt_into`
+work on caller buffers (memoryviews), one block at a time. The v1 cipher owns
+one reused AES-GCM context for the file key; the sealed cipher holds the
+enclave session, checks it is live on every block, and seals each block with
+a fresh key id. `encrypt_block`/`decrypt_block` are thin one-block callers
+of the same objects.
+
 Filename encryption is deterministic (AES-SIV keyed by the name key, with
 the directory id as associated data) because lookup-by-name requires the
 same name to encrypt to the same string. Encoded names are unpadded
@@ -50,6 +58,8 @@ from .errors import (
 BLOCK_SIZE = 32768
 V1_BLOCK_OVERHEAD = 28  # 12-byte IV + 16-byte tag
 SEALED_BLOCK_OVERHEAD = tee.HEADER_SIZE  # 560
+# Scratch bytes `BlockCipher.encrypt_into` may overwrite after the block.
+BLOCK_SLACK = tee.SEAL_SLACK
 WRAPPED_KEY_SIZE = 60  # 12-byte IV + 32-byte ct + 16-byte tag
 MAX_NAME_BYTES = 160
 NAME_SUFFIX = ".sc"
@@ -177,6 +187,16 @@ class EnclaveSession:
         self._require_live()
         return tee.unseal(self._platform, self.enclave, blob, aad)
 
+    def seal_into(self, payload, aad: bytes, out) -> int:
+        """`tee.seal_into` under this session's identity and policy."""
+        self._require_live()
+        return tee.seal_into(self._platform, self.enclave, self.policy, payload, aad, out)
+
+    def unseal_into(self, blob, aad: bytes, out) -> int:
+        """`tee.unseal_into` under this session's identity."""
+        self._require_live()
+        return tee.unseal_into(self._platform, self.enclave, blob, aad, out)
+
     def destroy(self) -> None:
         """Tear the session down; drops cached key material references."""
         with self._lock:
@@ -202,15 +222,109 @@ def init_enclave(
     ).initialize()
 
 
-def destroy_enclave(session: EnclaveSession) -> None:
-    session.destroy()
-
-
 def _content_key(keys: MasterKeys | bytes) -> bytes:
     key = keys.content_key if isinstance(keys, MasterKeys) else keys
     if len(key) != 32:
         raise ValueError("content key must be 32 bytes")
     return key
+
+
+class BlockCipher:
+    """Encrypts and decrypts the blocks of one file; built by `block_cipher`.
+
+    `encrypt_into` writes the block for 1..32768 cleartext bytes to the start
+    of the writable memoryview `out` and returns its size (cleartext +
+    overhead); `out` needs BLOCK_SLACK scratch bytes beyond that.
+    `decrypt_into` authenticates one block and writes its cleartext to `out`,
+    which must be exactly len(block) - overhead bytes. Each call raises
+    MalformedBlock for a block of impossible size, AuthenticationFailure on
+    tamper or a wrong position, and SessionDestroyed once a sealed cipher's
+    session is gone.
+    """
+
+    overhead: int
+
+    def __init__(self, file_id: bytes):
+        if len(file_id) != 16:
+            raise ValueError("file_id must be 16 bytes")
+        self.file_id = bytes(file_id)
+
+    def _check_cleartext(self, cleartext) -> int:
+        size = len(cleartext)
+        if size == 0:
+            raise EmptyBlock("blocks must contain at least 1 byte")
+        if size > BLOCK_SIZE:
+            raise BlockTooLarge(f"block of {size} bytes exceeds {BLOCK_SIZE}")
+        return size
+
+    def _check_block(self, block) -> None:
+        if not 1 <= len(block) - self.overhead <= BLOCK_SIZE:
+            raise MalformedBlock(
+                f"block of {len(block)} bytes does not hold 1..{BLOCK_SIZE} "
+                f"cleartext bytes plus {self.overhead} bytes of overhead"
+            )
+
+
+class V1BlockCipher(BlockCipher):
+    """v1: IV(12) | ciphertext | tag(16) under one AES-256-GCM file key."""
+
+    overhead = V1_BLOCK_OVERHEAD
+
+    def __init__(self, file_id: bytes, key: bytes):
+        super().__init__(file_id)
+        self._aead = AESGCM(key)
+
+    def encrypt_into(self, index: int, cleartext, out) -> int:
+        size = self._check_cleartext(cleartext)
+        iv = os.urandom(12)
+        out[:12] = iv
+        self._aead.encrypt_into(
+            iv, cleartext, block_aad(self.file_id, index), out[12:size + V1_BLOCK_OVERHEAD]
+        )
+        return size + V1_BLOCK_OVERHEAD
+
+    def decrypt_into(self, index: int, block, out) -> int:
+        self._check_block(block)
+        try:
+            self._aead.decrypt_into(block[:12], block[12:], block_aad(self.file_id, index), out)
+        except InvalidTag:
+            raise AuthenticationFailure(
+                f"block {index} failed authentication (tamper or wrong position)"
+            ) from None
+        return len(out)
+
+
+class SealedBlockCipher(BlockCipher):
+    """sealed: each block is a sealed blob with its own fresh key id."""
+
+    overhead = SEALED_BLOCK_OVERHEAD
+
+    def __init__(self, file_id: bytes, session: EnclaveSession):
+        super().__init__(file_id)
+        self._session = session
+
+    def encrypt_into(self, index: int, cleartext, out) -> int:
+        self._check_cleartext(cleartext)
+        return self._session.seal_into(cleartext, block_aad(self.file_id, index), out)
+
+    def decrypt_into(self, index: int, block, out) -> int:
+        self._check_block(block)
+        try:
+            return self._session.unseal_into(block, block_aad(self.file_id, index), out)
+        except MalformedBlob as exc:
+            raise MalformedBlock(str(exc)) from None
+
+
+def block_cipher(
+    mode: ModeId, keys: MasterKeys | bytes | EnclaveSession, file_id: bytes
+) -> BlockCipher:
+    """The block cipher of one file: v1 takes MasterKeys (or a raw 32-byte
+    content key); sealed takes an initialized EnclaveSession."""
+    if mode is ModeId.SEALED:
+        if not isinstance(keys, EnclaveSession):
+            raise TypeError("sealed mode requires an EnclaveSession")
+        return SealedBlockCipher(file_id, keys)
+    return V1BlockCipher(file_id, _content_key(keys))
 
 
 def encrypt_block(
@@ -220,22 +334,11 @@ def encrypt_block(
     index: int,
     cleartext: bytes,
 ) -> bytes:
-    """Encrypt one cleartext block (1..32768 bytes) at a given position.
-
-    v1 takes MasterKeys (or a raw 32-byte content key); sealed takes an
-    initialized EnclaveSession.
-    """
-    if len(cleartext) == 0:
-        raise EmptyBlock("blocks must contain at least 1 byte")
-    if len(cleartext) > BLOCK_SIZE:
-        raise BlockTooLarge(f"block of {len(cleartext)} bytes exceeds {BLOCK_SIZE}")
-    aad = block_aad(file_id, index)
-    if mode is ModeId.SEALED:
-        if not isinstance(keys, EnclaveSession):
-            raise TypeError("sealed mode requires an EnclaveSession")
-        return keys.encrypt_bytes(bytes(cleartext), aad).to_bytes()
-    iv = os.urandom(12)
-    return iv + AESGCM(_content_key(keys)).encrypt(iv, bytes(cleartext), aad)
+    """Encrypt one cleartext block (1..32768 bytes) at a given position."""
+    cipher = block_cipher(mode, keys, file_id)
+    out = bytearray(len(cleartext) + cipher.overhead + BLOCK_SLACK)
+    del out[cipher.encrypt_into(index, cleartext, memoryview(out)):]
+    return bytes(out)
 
 
 def decrypt_block(
@@ -246,27 +349,10 @@ def decrypt_block(
     block: bytes,
 ) -> bytes:
     """Inverse of encrypt_block under the identical (file_id, index) AAD."""
-    aad = block_aad(file_id, index)
-    if mode is ModeId.SEALED:
-        if not isinstance(keys, EnclaveSession):
-            raise TypeError("sealed mode requires an EnclaveSession")
-        try:
-            cleartext = keys.decrypt_bytes(bytes(block), aad)
-        except MalformedBlob as exc:
-            raise MalformedBlock(str(exc)) from None
-        if not 1 <= len(cleartext) <= BLOCK_SIZE:
-            raise MalformedBlock("block cleartext outside 1..32768")
-        return cleartext
-    if len(block) < V1_BLOCK_OVERHEAD + 1:
-        raise MalformedBlock("v1 block shorter than overhead plus one byte")
-    if len(block) > V1_BLOCK_OVERHEAD + BLOCK_SIZE:
-        raise MalformedBlock("v1 block longer than a full block")
-    try:
-        return AESGCM(_content_key(keys)).decrypt(block[:12], block[12:], aad)
-    except InvalidTag:
-        raise AuthenticationFailure(
-            f"block {index} failed authentication (tamper or wrong position)"
-        ) from None
+    cipher = block_cipher(mode, keys, file_id)
+    out = bytearray(max(0, len(block) - cipher.overhead))
+    cipher.decrypt_into(index, block, out)
+    return bytes(out)
 
 
 def _validate_name(name: str) -> bytes:

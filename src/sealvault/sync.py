@@ -412,7 +412,13 @@ class OpacityIndex:
     def __init__(self, corpus: Iterable[bytes]):
         parts = [_window_values(sample) for sample in corpus]
         merged = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint64)
-        self._values = np.unique(merged)
+        # sort plus an adjacent-difference mask: the same sorted distinct set
+        # as np.unique, whose hash-based path in numpy 2.x is far slower on
+        # the tens of millions of windows a corpus can have
+        merged.sort()
+        first = np.ones(merged.size, dtype=bool)
+        np.not_equal(merged[1:], merged[:-1], out=first[1:])
+        self._values = merged[first]
 
     def leaks(self, blob: bytes) -> bool:
         if self._values.size == 0:
@@ -420,6 +426,7 @@ class OpacityIndex:
         windows = _window_values(blob)
         if windows.size == 0:
             return False
+        windows.sort()  # sorted needles make searchsorted walk memory in order
         pos = np.searchsorted(self._values, windows)
         pos[pos == self._values.size] = 0
         return bool((self._values[pos] == windows).any())

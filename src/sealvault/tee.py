@@ -32,6 +32,11 @@ The first 532 header bytes, concatenated with the caller's AAD, form the
 associated data of the AEAD, so any header tamper fails authentication
 even where it does not already fail parsing.
 
+`seal_into`/`unseal_into` are the working core: they write a blob straight
+into, or read one straight out of, a caller's buffer. `seal`, `unseal` and
+`SealedBlob.from_bytes` are thin callers kept for whole-object use, and every
+parse of a header goes through the one check in `_check_header`.
+
 All operations are pure functions of their inputs plus os.urandom; they are
 safe for unrestricted concurrent use.
 """
@@ -56,9 +61,15 @@ BLOB_MAGIC = b"SSB1"
 BLOB_FORMAT_VERSION = 1
 HEADER_SIZE = 560
 AAD_PREFIX_SIZE = 532  # header bytes covered by the AEAD associated data
+IV_SIZE = 12
+TAG_SIZE = 16
+_TAG_AT = AAD_PREFIX_SIZE + IV_SIZE  # 544
 MAX_PAYLOAD = 2**32 - HEADER_SIZE - 1
+# Scratch bytes `seal_into` needs after the blob: AES-GCM emits ciphertext |
+# tag, and the tag is moved from there to its slot in front of the ciphertext.
+SEAL_SLACK = TAG_SIZE
 
-_HEAD = struct.Struct("<4sIHH16s32s32s32sH2sII")  # 136 bytes; then 396 reserved
+_PREFIX = struct.Struct("<4sIHH16s32s32s32sH2sII396s")  # the 532-byte AAD prefix
 _RESERVED_TAIL = bytes(396)
 
 _SEAL_LABEL = b"SEALKEYv1"
@@ -99,7 +110,8 @@ class EnclaveIdentity:
     isv_svn: int
 
 
-def _header_prefix(
+def _pack_prefix_into(
+    out: memoryview,
     policy: SealingPolicy,
     isv_svn: int,
     cpu_svn: bytes,
@@ -108,9 +120,12 @@ def _header_prefix(
     signer: bytes,
     product_id: int,
     payload_len: int,
-) -> bytes:
-    """First 532 header bytes (everything before IV); the AAD prefix."""
-    head = _HEAD.pack(
+) -> None:
+    """Write the first 532 header bytes (everything before the IV; the AAD
+    prefix) to the start of `out`."""
+    _PREFIX.pack_into(
+        out,
+        0,
         BLOB_MAGIC,
         BLOB_FORMAT_VERSION,
         int(policy),
@@ -123,8 +138,57 @@ def _header_prefix(
         b"\x00\x00",
         payload_len,
         0,
+        _RESERVED_TAIL,
     )
-    return head + _RESERVED_TAIL
+
+
+def _check_header(raw) -> tuple:
+    """Structurally validate the header of the whole blob `raw` (any buffer).
+
+    Returns (policy, isv_svn, cpu_svn, key_id, measurement, signer,
+    product_id). Raises MalformedBlob on wrong magic/version, bad sizes, a
+    nonzero aad_len, or nonzero reserved regions.
+    """
+    if len(raw) < HEADER_SIZE:
+        raise MalformedBlob(f"blob shorter than header: {len(raw)} < {HEADER_SIZE}")
+    (
+        magic,
+        version,
+        policy_code,
+        isv_svn,
+        cpu_svn,
+        key_id,
+        measurement,
+        signer,
+        product_id,
+        reserved2,
+        payload_len,
+        aad_len,
+        reserved_tail,
+    ) = _PREFIX.unpack_from(raw, 0)
+    if magic != BLOB_MAGIC:
+        raise MalformedBlob("bad magic")
+    if version != BLOB_FORMAT_VERSION:
+        raise MalformedBlob(f"unsupported format version {version}")
+    try:
+        policy = SealingPolicy(policy_code)
+    except ValueError:
+        raise MalformedBlob(f"unknown sealing policy {policy_code}") from None
+    if reserved2 != b"\x00\x00" or reserved_tail != _RESERVED_TAIL:
+        raise MalformedBlob("reserved region not zero")
+    if aad_len != 0:
+        raise MalformedBlob("aad_len must be 0")
+    if len(raw) != HEADER_SIZE + payload_len:
+        raise MalformedBlob(
+            f"size mismatch: have {len(raw)}, header says {HEADER_SIZE + payload_len}"
+        )
+    return policy, isv_svn, cpu_svn, key_id, measurement, signer, product_id
+
+
+def _sealed_size(payload_len: int) -> int:
+    if payload_len > MAX_PAYLOAD:
+        raise PayloadTooLarge(f"payload of {payload_len} bytes exceeds {MAX_PAYLOAD}")
+    return HEADER_SIZE + payload_len
 
 
 @dataclass(frozen=True)
@@ -142,8 +206,10 @@ class SealedBlob:
     tag: bytes
     ciphertext: bytes
 
-    def header_prefix(self) -> bytes:
-        return _header_prefix(
+    def to_bytes(self) -> bytes:
+        out = bytearray(HEADER_SIZE)
+        _pack_prefix_into(
+            memoryview(out),
             self.policy,
             self.isv_svn,
             self.cpu_svn,
@@ -153,52 +219,20 @@ class SealedBlob:
             self.product_id,
             len(self.ciphertext),
         )
-
-    def to_bytes(self) -> bytes:
-        return self.header_prefix() + self.iv + self.tag + self.ciphertext
+        out[AAD_PREFIX_SIZE:] = self.iv + self.tag
+        return bytes(out) + self.ciphertext
 
     def __len__(self) -> int:
         return HEADER_SIZE + len(self.ciphertext)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SealedBlob":
-        """Parse and structurally validate a sealed blob.
-
-        Raises MalformedBlob on wrong magic/version, bad sizes, a nonzero
-        aad_len, or nonzero reserved regions.
-        """
-        if len(raw) < HEADER_SIZE:
-            raise MalformedBlob(f"blob shorter than header: {len(raw)} < {HEADER_SIZE}")
-        (
-            magic,
-            version,
-            policy_code,
-            isv_svn,
-            cpu_svn,
-            key_id,
-            measurement,
-            signer,
-            product_id,
-            reserved2,
-            payload_len,
-            aad_len,
-        ) = _HEAD.unpack_from(raw, 0)
-        if magic != BLOB_MAGIC:
-            raise MalformedBlob("bad magic")
-        if version != BLOB_FORMAT_VERSION:
-            raise MalformedBlob(f"unsupported format version {version}")
-        try:
-            policy = SealingPolicy(policy_code)
-        except ValueError:
-            raise MalformedBlob(f"unknown sealing policy {policy_code}") from None
-        if reserved2 != b"\x00\x00" or raw[_HEAD.size:AAD_PREFIX_SIZE] != _RESERVED_TAIL:
-            raise MalformedBlob("reserved region not zero")
-        if aad_len != 0:
-            raise MalformedBlob("aad_len must be 0")
-        if len(raw) != HEADER_SIZE + payload_len:
-            raise MalformedBlob(
-                f"size mismatch: have {len(raw)}, header says {HEADER_SIZE + payload_len}"
-            )
+        """Parse and structurally validate a sealed blob (see `_check_header`
+        for what raises MalformedBlob)."""
+        raw = bytes(raw)
+        policy, isv_svn, cpu_svn, key_id, measurement, signer, product_id = (
+            _check_header(raw)
+        )
         return cls(
             policy=policy,
             isv_svn=isv_svn,
@@ -207,8 +241,8 @@ class SealedBlob:
             measurement=measurement,
             signer=signer,
             product_id=product_id,
-            iv=raw[AAD_PREFIX_SIZE:544],
-            tag=raw[544:HEADER_SIZE],
+            iv=raw[AAD_PREFIX_SIZE:_TAG_AT],
+            tag=raw[_TAG_AT:HEADER_SIZE],
             ciphertext=raw[HEADER_SIZE:],
         )
 
@@ -257,10 +291,6 @@ def create_platform(seed: bytes) -> PlatformIdentity:
         cpu_svn=_hmac.new(seed, _PLATFORM_DOMAIN + b"/cpu-svn", "sha256").digest()[:16],
         platform_id=_hmac.new(seed, _PLATFORM_DOMAIN + b"/id", "sha256").digest()[:16],
     )
-
-
-def random_platform() -> PlatformIdentity:
-    return create_platform(os.urandom(32))
 
 
 def measure_enclave(
@@ -321,27 +351,30 @@ def derive_sealing_key(
     return _cmac(platform.platform_key, message)
 
 
-def seal(
+def seal_into(
     platform: PlatformIdentity,
     enclave: EnclaveIdentity,
     policy: SealingPolicy,
-    payload: bytes,
-    aad: bytes = b"",
-) -> SealedBlob:
-    """Seal a payload to this platform under the given policy.
+    payload,
+    aad: bytes,
+    out,
+) -> int:
+    """Seal a payload to this platform, writing the blob to the start of the
+    writable buffer `out`; returns the blob size, always 560 + len(payload).
 
-    A fresh key_id and IV are drawn per call; the caller AAD is authenticated
-    but not stored (readers must be able to recompute it). Output size is
-    always exactly 560 + len(payload).
+    `out` needs room for the blob plus SEAL_SLACK scratch bytes, which are
+    overwritten. A fresh key_id and IV are drawn per call; the caller AAD is
+    authenticated but not stored (readers must be able to recompute it).
     """
-    if len(payload) > MAX_PAYLOAD:
-        raise PayloadTooLarge(f"payload of {len(payload)} bytes exceeds {MAX_PAYLOAD}")
+    end = _sealed_size(len(payload))
     key_id = os.urandom(32)
-    iv = os.urandom(12)
+    iv = os.urandom(IV_SIZE)
     key = derive_sealing_key(
         platform, enclave, policy, key_id, enclave.isv_svn, platform.cpu_svn
     )
-    prefix = _header_prefix(
+    view = memoryview(out)
+    _pack_prefix_into(
+        view,
         policy,
         enclave.isv_svn,
         platform.cpu_svn,
@@ -351,19 +384,65 @@ def seal(
         enclave.product_id,
         len(payload),
     )
-    ct_and_tag = AESGCM(key).encrypt(iv, bytes(payload), prefix + aad)
-    return SealedBlob(
-        policy=policy,
-        isv_svn=enclave.isv_svn,
-        cpu_svn=platform.cpu_svn,
-        key_id=key_id,
-        measurement=enclave.measurement,
-        signer=enclave.signer,
-        product_id=enclave.product_id,
-        iv=iv,
-        tag=ct_and_tag[-16:],
-        ciphertext=ct_and_tag[:-16],
+    view[AAD_PREFIX_SIZE:_TAG_AT] = iv
+    AESGCM(key).encrypt_into(
+        iv, payload, b"".join((view[:AAD_PREFIX_SIZE], aad)),
+        view[HEADER_SIZE:end + TAG_SIZE],
     )
+    view[_TAG_AT:HEADER_SIZE] = view[end:end + TAG_SIZE]
+    return end
+
+
+def unseal_into(
+    platform: PlatformIdentity,
+    enclave: EnclaveIdentity,
+    blob,
+    aad: bytes,
+    out,
+) -> int:
+    """Recover the payload of the sealed blob `blob` (any buffer) into the
+    writable buffer `out`, which must be exactly len(blob) - 560 bytes;
+    returns that length.
+
+    The key is re-derived from the blob's recorded policy/key_id/SVNs and the
+    *caller's* enclave identity, so a different platform, a different
+    measurement (MRENCLAVE), a different signer (MRSIGNER), a wrong AAD, or
+    any bit tamper all fail authentication. The AAD is the blob's own
+    validated 532-byte prefix followed by the caller AAD.
+    """
+    view = memoryview(blob)
+    policy, isv_svn, cpu_svn, key_id, _m, _s, _p = _check_header(view)
+    if len(out) != len(view) - HEADER_SIZE:
+        raise ValueError(f"output buffer must be {len(view) - HEADER_SIZE} bytes")
+    if enclave.isv_svn < isv_svn:
+        raise SvnViolation(f"enclave isv_svn {enclave.isv_svn} < blob isv_svn {isv_svn}")
+    key = derive_sealing_key(platform, enclave, policy, key_id, isv_svn, cpu_svn)
+    try:
+        AESGCM(key).decrypt_into(
+            view[AAD_PREFIX_SIZE:_TAG_AT],
+            b"".join((view[HEADER_SIZE:], view[_TAG_AT:HEADER_SIZE])),
+            b"".join((view[:AAD_PREFIX_SIZE], aad)),
+            out,
+        )
+    except InvalidTag:
+        raise AuthenticationFailure(
+            "unseal failed: wrong platform/identity, wrong AAD, or tampered blob"
+        ) from None
+    return len(out)
+
+
+def seal(
+    platform: PlatformIdentity,
+    enclave: EnclaveIdentity,
+    policy: SealingPolicy,
+    payload: bytes,
+    aad: bytes = b"",
+) -> SealedBlob:
+    """Seal a payload to this platform under the given policy (`seal_into`
+    into a fresh buffer, parsed back into a SealedBlob)."""
+    out = bytearray(_sealed_size(len(payload)) + SEAL_SLACK)
+    del out[seal_into(platform, enclave, policy, payload, aad, out):]
+    return SealedBlob.from_bytes(out)
 
 
 def unseal(
@@ -372,30 +451,12 @@ def unseal(
     blob: SealedBlob | bytes,
     aad: bytes = b"",
 ) -> bytes:
-    """Recover a sealed payload.
-
-    The key is re-derived from the blob's recorded policy/key_id/SVNs and the
-    *caller's* enclave identity, so a different platform, a different
-    measurement (MRENCLAVE), a different signer (MRSIGNER), a wrong AAD, or
-    any bit tamper all fail authentication.
-    """
-    if isinstance(blob, (bytes, bytearray, memoryview)):
-        blob = SealedBlob.from_bytes(bytes(blob))
-    if enclave.isv_svn < blob.isv_svn:
-        raise SvnViolation(
-            f"enclave isv_svn {enclave.isv_svn} < blob isv_svn {blob.isv_svn}"
-        )
-    key = derive_sealing_key(
-        platform, enclave, blob.policy, blob.key_id, blob.isv_svn, blob.cpu_svn
-    )
-    try:
-        return AESGCM(key).decrypt(
-            blob.iv, blob.ciphertext + blob.tag, blob.header_prefix() + aad
-        )
-    except InvalidTag:
-        raise AuthenticationFailure(
-            "unseal failed: wrong platform/identity, wrong AAD, or tampered blob"
-        ) from None
+    """Recover a sealed payload (`unseal_into` into a fresh buffer)."""
+    if isinstance(blob, SealedBlob):
+        blob = blob.to_bytes()
+    out = bytearray(max(0, len(blob) - HEADER_SIZE))
+    unseal_into(platform, enclave, blob, aad, out)
+    return bytes(out)
 
 
 def _report_key(platform: PlatformIdentity, target: EnclaveIdentity) -> bytes:

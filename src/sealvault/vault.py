@@ -19,6 +19,15 @@ so the ciphertext size is always
 with overhead 28 (v1) or 560 (sealed). The law is invertible, which lets
 directory listings report cleartext sizes without touching file contents.
 
+File contents move through one data path. Each read or write builds the
+file's block cipher once (`modes.block_cipher`) and moves a batch of up to
+BATCH_BLOCKS blocks at a time: writes encrypt a batch into one reused buffer
+and issue one write per batch; reads `readinto` a batch of ciphertext into
+one reused buffer and decrypt each block straight into the caller's
+destination. `read_file` and `read_range` decrypt into one buffer sized to
+the request; `read_to` streams to a file-like sink, so its memory is bounded
+by the batch, not the file.
+
 vault.cfg is a length-prefixed record protected by a SHA-256 trailer; any
 bit flip surfaces as CorruptConfig before key material is touched. It
 stores only wrapped or sealed secrets and is safe to sync to a remote.
@@ -64,6 +73,9 @@ FILE_HEADER_SIZE = 640
 ROOT_DIR_ID = bytes(16)
 DIRID_NAME = "dirid.sc"
 TEMP_PREFIX = ".tmp-"
+# Blocks moved per read or write batch (1 MiB of cleartext); buffers are
+# sized to the request, up to this cap.
+BATCH_BLOCKS = 32
 
 CONFIG_MAGIC = b"SVC1"
 CONFIG_VERSION = 1
@@ -241,6 +253,54 @@ def _file_key_label(file_id: bytes) -> bytes:
     return _LABEL_FILE_KEY + file_id
 
 
+def _fill(stream: BinaryIO, view: memoryview) -> int:
+    """Read from `stream` until `view` is full or the stream ends; returns
+    the bytes read (short reads are topped up, so only the final block of a
+    stream may be partial)."""
+    filled = 0
+    while filled < len(view):
+        got = stream.readinto(view[filled:])
+        if not got:
+            break
+        filled += got
+    return filled
+
+
+def _read_exact(fh: BinaryIO, view: memoryview) -> None:
+    """Fill `view` from `fh`; a short object is malformed, since every size
+    read here comes from the size law."""
+    if _fill(fh, view) != len(view):
+        raise MalformedBlock("file object ends before its last block")
+
+
+def _blocks(size: int) -> int:
+    return -(-size // modes.BLOCK_SIZE)
+
+
+def _cleartext_batches(content) -> Iterator[memoryview]:
+    """Cleartext in batches of whole blocks: views of in-memory content, or
+    stream reads into one reused buffer."""
+    batch = BATCH_BLOCKS * modes.BLOCK_SIZE
+    if isinstance(content, (bytes, bytearray, memoryview)):
+        data = memoryview(content).cast("B")
+        for off in range(0, len(data), batch):
+            yield data[off:off + batch]
+        return
+    buf = memoryview(bytearray(batch))
+    while True:
+        got = _fill(content, buf)
+        if got:
+            yield buf[:got]
+        if got < batch:
+            return
+
+
+def _read_buffer(cipher: modes.BlockCipher, size: int) -> memoryview:
+    """Ciphertext buffer for `size` cleartext bytes, capped at a batch."""
+    blocks = min(_blocks(size), BATCH_BLOCKS)
+    return memoryview(bytearray(blocks * (modes.BLOCK_SIZE + cipher.overhead)))
+
+
 def _split_path(logical_path: str) -> list[str]:
     """Split and validate a logical vault path into components."""
     parts = [p for p in str(logical_path).replace("\\", "/").split("/") if p]
@@ -297,10 +357,10 @@ class VaultHandle:
             raise VaultLocked("vault handle is locked")
         return self._master
 
-    def _block_keysource(self, file_key: bytes):
-        if self.mode is modes.ModeId.SEALED:
-            return self._session
-        return file_key
+    def _block_cipher(self, file_id: bytes, file_key: bytes) -> modes.BlockCipher:
+        self._keys()
+        keys = self._session if self.mode is modes.ModeId.SEALED else file_key
+        return modes.block_cipher(self.mode, keys, file_id)
 
     def _write_lock(self, logical: str) -> threading.Lock:
         with self._locks_guard:
@@ -438,28 +498,31 @@ class VaultHandle:
             raise MalformedBlock("protected file key has wrong size")
         return file_id, file_key
 
-    def _chunks(self, content) -> Iterator[bytes]:
-        if isinstance(content, (bytes, bytearray, memoryview)):
-            data = memoryview(content)
-            for off in range(0, len(data), modes.BLOCK_SIZE):
-                yield bytes(data[off:off + modes.BLOCK_SIZE])
-            return
-        while True:
-            chunk = content.read(modes.BLOCK_SIZE)
-            if not chunk:
-                return
-            # top up short reads so only the final block may be partial
-            while len(chunk) < modes.BLOCK_SIZE:
-                more = content.read(modes.BLOCK_SIZE - len(chunk))
-                if not more:
-                    break
-                chunk += more
-            yield chunk
+    def _write_blocks(self, out: BinaryIO, cipher: modes.BlockCipher, content) -> int:
+        """Encrypt content block by block into one reused batch buffer, one
+        write per batch; returns the cleartext bytes written."""
+        step = modes.BLOCK_SIZE + cipher.overhead
+        buf = None
+        index = stored = 0
+        for chunk in _cleartext_batches(content):
+            if buf is None:  # the first batch is the largest
+                buf = memoryview(bytearray(_blocks(len(chunk)) * step + modes.BLOCK_SLACK))
+            used = 0
+            for off in range(0, len(chunk), modes.BLOCK_SIZE):
+                self._keys()
+                used += cipher.encrypt_into(
+                    index, chunk[off:off + modes.BLOCK_SIZE], buf[used:]
+                )
+                index += 1
+            out.write(buf[:used])
+            stored += len(chunk)
+        return stored
 
     def write_file(self, logical_path: str, content: bytes | BinaryIO) -> int:
-        """Encrypt and store content at a logical path, creating parent
-        directories as needed. Overwrites atomically (temp file + rename).
-        Returns the number of cleartext bytes stored."""
+        """Encrypt and store content (a bytes-like object, or a binary stream
+        with readinto) at a logical path, creating parent directories as
+        needed. Overwrites atomically (temp file + rename). Returns the
+        number of cleartext bytes stored."""
         parts = _split_path(logical_path)
         if not parts:
             raise InvalidName("cannot write to the vault root")
@@ -471,19 +534,12 @@ class VaultHandle:
                 raise InvalidName(f"{parts[-1]!r} is a directory")
             file_id = os.urandom(16)
             file_key = os.urandom(32)
-            keysource = self._block_keysource(file_key)
+            cipher = self._block_cipher(file_id, file_key)
             tmp = phys / (TEMP_PREFIX + os.urandom(8).hex())
-            stored = 0
             try:
                 with open(tmp, "wb") as out:
                     out.write(self._build_header(file_id, file_key))
-                    for index, chunk in enumerate(self._chunks(content)):
-                        out.write(
-                            modes.encrypt_block(
-                                self.mode, keysource, file_id, index, chunk
-                            )
-                        )
-                        stored += len(chunk)
+                    stored = self._write_blocks(out, cipher, content)
                     out.flush()
                     os.fsync(out.fileno())
                 os.replace(tmp, target)
@@ -507,53 +563,97 @@ class VaultHandle:
             raise NotFound(f"no such file: {logical_path!r}")
         return target
 
-    def _decrypt_body(self, file_id: bytes, file_key: bytes, body: bytes,
-                      first_index: int = 0) -> bytes:
-        step = modes.BLOCK_SIZE + self.mode.block_overhead
-        out = bytearray()
-        keysource = self._block_keysource(file_key)
-        for i, off in enumerate(range(0, len(body), step)):
-            chunk = body[off:off + step]
+    def _open_object(self, logical_path: str) -> tuple[BinaryIO, modes.BlockCipher, int]:
+        """Open a stored file: (unbuffered handle just past the header, the
+        file's block cipher, cleartext size by the size law)."""
+        fh = open(self._locate_file(logical_path), "rb", buffering=0)
+        try:
+            file_id, file_key = self._parse_header(fh.read(FILE_HEADER_SIZE))
             try:
-                out += modes.decrypt_block(
-                    self.mode, keysource, file_id, first_index + i, chunk
+                size = invert_object_size(
+                    os.fstat(fh.fileno()).st_size, self.mode.block_overhead
                 )
-            except MalformedBlob as exc:
+            except ValueError as exc:
                 raise MalformedBlock(str(exc)) from None
-        return bytes(out)
+            return fh, self._block_cipher(file_id, file_key), size
+        except BaseException:
+            fh.close()
+            raise
+
+    def _decrypt_blocks(self, fh: BinaryIO, cipher: modes.BlockCipher, index: int,
+                        out: memoryview, buf: memoryview) -> None:
+        """Decrypt consecutive blocks from block `index` on until their
+        cleartext fills `out`. `fh` is positioned at block `index`; each
+        batch of ciphertext is read into `buf` (a whole number of blocks)."""
+        step = modes.BLOCK_SIZE + cipher.overhead
+        per_batch = len(buf) // step * modes.BLOCK_SIZE
+        done = 0
+        while done < len(out):
+            clear = min(len(out) - done, per_batch)
+            batch = buf[:clear + cipher.overhead * _blocks(clear)]
+            _read_exact(fh, batch)
+            for off in range(0, len(batch), step):
+                block = batch[off:off + step]
+                end = done + len(block) - cipher.overhead
+                self._keys()
+                cipher.decrypt_into(index, block, out[done:end])
+                index += 1
+                done = end
 
     def read_file(self, logical_path: str) -> bytes:
         """Decrypt a stored file back to its exact original bytes."""
-        target = self._locate_file(logical_path)
-        raw = target.read_bytes()
-        file_id, file_key = self._parse_header(raw)
-        return self._decrypt_body(file_id, file_key, raw[FILE_HEADER_SIZE:])
+        fh, cipher, size = self._open_object(logical_path)
+        with fh:
+            out = bytearray(size)
+            self._decrypt_blocks(fh, cipher, 0, memoryview(out), _read_buffer(cipher, size))
+        return bytes(out)
 
     def read_range(self, logical_path: str, offset: int, length: int) -> bytes:
         """Random-access read at block granularity: decrypts only the blocks
         covering [offset, offset+length) and slices the result."""
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
-        target = self._locate_file(logical_path)
-        step = modes.BLOCK_SIZE + self.mode.block_overhead
-        with open(target, "rb") as handle:
-            header = handle.read(FILE_HEADER_SIZE)
-            file_id, file_key = self._parse_header(header)
-            total_ct = target.stat().st_size
-            try:
-                total_pt = invert_object_size(total_ct, self.mode.block_overhead)
-            except ValueError as exc:
-                raise MalformedBlock(str(exc)) from None
-            if offset >= total_pt:
+        fh, cipher, size = self._open_object(logical_path)
+        with fh:
+            if offset >= size or length == 0:
                 return b""
-            length = min(length, total_pt - offset)
+            length = min(length, size - offset)
             first = offset // modes.BLOCK_SIZE
             last = (offset + length - 1) // modes.BLOCK_SIZE
-            handle.seek(FILE_HEADER_SIZE + first * step)
-            body = handle.read((last - first + 1) * step)
-        cleartext = self._decrypt_body(file_id, file_key, body, first_index=first)
-        start = offset - first * modes.BLOCK_SIZE
-        return cleartext[start:start + length]
+            base = first * modes.BLOCK_SIZE
+            out = bytearray(min((last + 1) * modes.BLOCK_SIZE, size) - base)
+            fh.seek(FILE_HEADER_SIZE + first * (modes.BLOCK_SIZE + cipher.overhead))
+            self._decrypt_blocks(fh, cipher, first, memoryview(out),
+                                 _read_buffer(cipher, len(out)))
+        start = offset - base
+        return bytes(memoryview(out)[start:start + length])
+
+    def read_to(self, logical_path: str, stream: BinaryIO, offset: int = 0) -> int:
+        """Decrypt a stored file from `offset` to its end into `stream`
+        (anything with a write method that takes all it is given). Memory use
+        is bounded by one batch of blocks, whatever the file size. Returns
+        the number of cleartext bytes written."""
+        if offset < 0:
+            raise ValueError("offset must be non-negative")
+        fh, cipher, size = self._open_object(logical_path)
+        with fh:
+            if offset >= size:
+                return 0
+            first = offset // modes.BLOCK_SIZE
+            fh.seek(FILE_HEADER_SIZE + first * (modes.BLOCK_SIZE + cipher.overhead))
+            remaining = size - first * modes.BLOCK_SIZE
+            buf = _read_buffer(cipher, remaining)
+            out = memoryview(bytearray(min(remaining, BATCH_BLOCKS * modes.BLOCK_SIZE)))
+            skip = offset - first * modes.BLOCK_SIZE
+            index = first
+            while remaining:
+                clear = out[:min(remaining, len(out))]
+                self._decrypt_blocks(fh, cipher, index, clear, buf)
+                stream.write(clear[skip:])
+                index += _blocks(len(clear))
+                remaining -= len(clear)
+                skip = 0
+        return size - offset
 
     def list_dir(self, logical_path: str = "/") -> list[DirEntry]:
         """List a directory. Sizes come from the ciphertext size law alone;
@@ -634,8 +734,9 @@ class VaultHandle:
     def walk(self, logical_path: str = "/") -> Iterator[tuple[str, list[str], list[str]]]:
         """os.walk-style traversal of the logical namespace."""
         base = "/".join(_split_path(logical_path))
-        dirs = [e.name for e in self.list_dir(logical_path) if e.kind == "dir"]
-        files = [e.name for e in self.list_dir(logical_path) if e.kind == "file"]
+        entries = self.list_dir(logical_path)
+        dirs = [e.name for e in entries if e.kind == "dir"]
+        files = [e.name for e in entries if e.kind == "file"]
         yield base, dirs, files
         for d in dirs:
             yield from self.walk(f"{base}/{d}" if base else d)

@@ -10,6 +10,12 @@ from sealvault import cli
 PASSWORD = "cli test password"
 
 
+def _file_object(root):
+    """The one file object stored in a vault under `root`."""
+    (obj,) = [p for p in (root / "d").rglob("*.sc") if p.is_file()]
+    return obj
+
+
 @pytest.fixture
 def env(tmp_path, monkeypatch):
     """Password file + platform seed file wired through the environment."""
@@ -78,6 +84,21 @@ class TestFileCommands:
     def test_get_missing_is_exit_4(self, env):
         _init(env)
         assert cli.main(["get", "nope", str(env / "x"), "--vault", str(env / "vault")]) == 4
+
+    def test_failed_get_leaves_destination_untouched(self, env):
+        _init(env)
+        vaultdir = str(env / "vault")
+        assert cli.main(["get", "nope", str(env / "new" / "x"), "--vault", vaultdir]) == 4
+        assert not (env / "new").exists()
+        src = env / "src.bin"
+        src.write_bytes(b"v")
+        assert cli.main(["put", str(src), "f.bin", "--vault", vaultdir]) == 0
+        raw = _file_object(env / "vault")
+        raw.write_bytes(raw.read_bytes()[:-1] + bytes([raw.read_bytes()[-1] ^ 1]))
+        (env / "keep.bin").write_bytes(b"previous")
+        assert cli.main(["get", "f.bin", str(env / "keep.bin"), "--vault", vaultdir]) == 3
+        assert (env / "keep.bin").read_bytes() == b"previous"
+        assert [p.name for p in env.iterdir() if p.name.startswith(".sealvault-get-")] == []
 
     def test_wrong_password_is_exit_3(self, env, monkeypatch):
         _init(env)

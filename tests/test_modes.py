@@ -183,6 +183,18 @@ class TestBlocks:
         block = modes.encrypt_block(modes.ModeId.V1, key, b"\x00" * 16, 0, b"raw key")
         assert modes.decrypt_block(modes.ModeId.V1, key, b"\x00" * 16, 0, block) == b"raw key"
 
+    def test_sealed_cipher_checks_session_every_block(self):
+        platform = tee.create_platform(os.urandom(32))
+        s = modes.init_enclave(platform, b"code", b"sig")
+        cipher = modes.block_cipher(modes.ModeId.SEALED, s, b"\x00" * 16)
+        block = bytearray(100 + cipher.overhead + modes.BLOCK_SLACK)
+        size = cipher.encrypt_into(0, b"x" * 100, memoryview(block))
+        s.destroy()
+        with pytest.raises(SessionDestroyed):
+            cipher.decrypt_into(0, block[:size], bytearray(100))
+        with pytest.raises(SessionDestroyed):
+            cipher.encrypt_into(1, b"x" * 100, memoryview(block))
+
     def test_sealed_requires_session(self):
         with pytest.raises(TypeError):
             modes.encrypt_block(

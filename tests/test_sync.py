@@ -465,3 +465,16 @@ class TestOpacity:
     def test_short_samples_ignored(self):
         index = sync.OpacityIndex([b"short"])  # below the 8-byte window
         assert not index.leaks(b"short short short")
+
+    def test_index_matches_set_reference(self):
+        rng = random.Random(21)
+        alphabet = b"ab"  # a small alphabet repeats windows, so dedup matters
+        corpus = [bytes(rng.choice(alphabet) for _ in range(rng.randrange(0, 300)))
+                  for _ in range(30)]
+        index = sync.OpacityIndex(corpus)
+        windows = {sample[i:i + 8] for sample in corpus for i in range(len(sample) - 7)}
+        assert sorted(int.from_bytes(w, "little") for w in windows) == index._values.tolist()
+        for _ in range(200):
+            blob = bytes(rng.choice(alphabet + b"c") for _ in range(rng.randrange(0, 40)))
+            expected = any(blob[i:i + 8] in windows for i in range(len(blob) - 7))
+            assert index.leaks(blob) == expected

@@ -172,6 +172,21 @@ class TestSealUnseal:
             blob = tee.seal(platform, enclave, MRSIGNER, payload, aad)
             assert tee.unseal(platform, enclave, blob, aad) == payload
 
+    @pytest.mark.parametrize("size", [0, 1, 4096])
+    def test_into_buffers(self, platform, enclave, size):
+        payload = random.Random(size).randbytes(size)
+        out = bytearray(b"\xee" * (tee.HEADER_SIZE + size + tee.SEAL_SLACK + 8))
+        end = tee.seal_into(platform, enclave, MRENCLAVE, payload, b"aad", out)
+        assert end == tee.HEADER_SIZE + size
+        assert out[end + tee.SEAL_SLACK:] == b"\xee" * 8  # nothing written past the slack
+        blob = bytes(out[:end])
+        assert tee.unseal(platform, enclave, tee.SealedBlob.from_bytes(blob), b"aad") == payload
+        clear = bytearray(size)
+        assert tee.unseal_into(platform, enclave, memoryview(out)[:end], b"aad", clear) == size
+        assert clear == payload
+        with pytest.raises(ValueError):
+            tee.unseal_into(platform, enclave, blob, b"aad", bytearray(size + 1))
+
     def test_wrong_platform_fails(self, platform, other_platform, enclave):
         blob = tee.seal(platform, enclave, MRENCLAVE, b"bound")
         with pytest.raises(AuthenticationFailure):

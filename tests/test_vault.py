@@ -1,6 +1,8 @@
 """Vault container: lifecycle, round trips, size law, namespace opacity."""
 
+import errno
 import hashlib
+import io
 import os
 import random
 import threading
@@ -18,6 +20,8 @@ from sealvault.errors import (
     MissingPlatform,
     NameTooLong,
     NotFound,
+    SessionDestroyed,
+    StorageFull,
     TargetNotEmpty,
     UnsealFailure,
     VaultLocked,
@@ -284,6 +288,184 @@ class TestReadWrite:
         assert len(handle.list_dir("t")) == 8
 
 
+BOUNDARY_SIZES = [0, 1, 32767, 32768, 32769, 3 * 32768 + 5]
+
+
+def _block_keys(handle, file_key):
+    """What the reference modes.encrypt_block/decrypt_block take for a file."""
+    return handle._session if handle.mode is modes.ModeId.SEALED else file_key
+
+
+def _read_to_bytes(handle, path, offset=0):
+    sink = io.BytesIO()
+    written = handle.read_to(path, sink, offset)
+    assert written == len(sink.getvalue())
+    return sink.getvalue()
+
+
+class TestDataPath:
+    """The batched block path must write exactly what the one-block
+    reference functions in modes write, and read what they wrote."""
+
+    @pytest.mark.parametrize("size", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_written_blocks_decrypt_with_reference(self, make_vault, mode, size):
+        handle = make_vault(mode, name=f"v-{mode.value}")
+        data = random.Random(size).randbytes(size)
+        assert handle.write_file("f.bin", data) == size
+        raw = handle.map_path("f.bin").read_bytes()
+        assert len(raw) == vault.object_size(size, mode.block_overhead)
+        file_id, file_key = handle._parse_header(raw[:vault.FILE_HEADER_SIZE])
+        step = modes.BLOCK_SIZE + mode.block_overhead
+        body = raw[vault.FILE_HEADER_SIZE:]
+        clear = b"".join(
+            modes.decrypt_block(mode, _block_keys(handle, file_key), file_id, i,
+                                body[off:off + step])
+            for i, off in enumerate(range(0, len(body), step))
+        )
+        assert clear == data
+        assert handle.read_file("f.bin") == data
+        assert _read_to_bytes(handle, "f.bin") == data
+
+    @pytest.mark.parametrize("size", BOUNDARY_SIZES)
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_reference_object_reads_back(self, make_vault, mode, size):
+        handle = make_vault(mode, name=f"v-{mode.value}")
+        data = random.Random(size + 1).randbytes(size)
+        file_id, file_key = os.urandom(16), os.urandom(32)
+        keys = _block_keys(handle, file_key)
+        blocks = [
+            modes.encrypt_block(mode, keys, file_id, i, data[off:off + modes.BLOCK_SIZE])
+            for i, off in enumerate(range(0, size, modes.BLOCK_SIZE))
+        ]
+        handle.map_path("ref.bin").write_bytes(
+            handle._build_header(file_id, file_key) + b"".join(blocks)
+        )
+        assert handle.read_file("ref.bin") == data
+        assert _read_to_bytes(handle, "ref.bin") == data
+        for offset, length in [(0, size), (0, 1), (size // 2, 40_000), (size - 1, 9),
+                               (32767, 2), (size, 1)]:
+            offset = max(0, offset)
+            want = data[offset:offset + length]
+            assert handle.read_range("ref.bin", offset, length) == want
+            assert _read_to_bytes(handle, "ref.bin", offset) == data[offset:]
+
+    @pytest.mark.parametrize("delta", [-1, 1, -32768, 2**31])
+    def test_tampered_payload_len_is_malformed_or_unauthentic(self, make_vault, delta):
+        handle = make_vault(modes.ModeId.SEALED)
+        data = random.Random(5).randbytes(2 * modes.BLOCK_SIZE + 100)
+        handle.write_file("p.bin", data)
+        phys = handle.map_path("p.bin")
+        raw = bytearray(phys.read_bytes())
+        step = modes.BLOCK_SIZE + modes.SEALED_BLOCK_OVERHEAD
+        for block_start in (vault.FILE_HEADER_SIZE, vault.FILE_HEADER_SIZE + 2 * step):
+            field = block_start + 128  # payload_len, u32 little-endian
+            tampered = bytearray(raw)
+            old = int.from_bytes(tampered[field:field + 4], "little")
+            tampered[field:field + 4] = ((old + delta) % 2**32).to_bytes(4, "little")
+            phys.write_bytes(bytes(tampered))
+            for read in (lambda: handle.read_file("p.bin"),
+                         lambda: handle.read_range("p.bin", 0, len(data)),
+                         lambda: _read_to_bytes(handle, "p.bin")):
+                with pytest.raises((MalformedBlock, AuthenticationFailure)):
+                    read()
+        file_id, _ = handle._parse_header(bytes(raw[:vault.FILE_HEADER_SIZE]))
+        block = bytearray(raw[vault.FILE_HEADER_SIZE:vault.FILE_HEADER_SIZE + step])
+        block[128:132] = (modes.BLOCK_SIZE - 1).to_bytes(4, "little")
+        with pytest.raises((MalformedBlock, AuthenticationFailure)):
+            modes.decrypt_block(modes.ModeId.SEALED, handle._session, file_id, 0, bytes(block))
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_lock_mid_read_stops_at_next_block(self, make_vault, mode, monkeypatch):
+        handle = make_vault(mode, name=f"v-{mode.value}")
+        data = random.Random(9).randbytes(5 * modes.BLOCK_SIZE)
+        handle.write_file("l.bin", data)
+        real_cipher = modes.block_cipher
+        decrypted = []
+
+        class LockAfterFirstBlock:
+            def __init__(self, inner):
+                self.inner = inner
+                self.overhead = inner.overhead
+
+            def decrypt_into(self, index, block, out):
+                n = self.inner.decrypt_into(index, block, out)
+                decrypted.append(index)
+                handle.lock()
+                return n
+
+        monkeypatch.setattr(
+            modes, "block_cipher", lambda *args: LockAfterFirstBlock(real_cipher(*args))
+        )
+        with pytest.raises((VaultLocked, SessionDestroyed)):
+            handle.read_file("l.bin")
+        assert decrypted == [0]
+
+    def test_short_stream_reads_are_topped_up(self, make_vault):
+        handle = make_vault(modes.ModeId.V1)
+        data = random.Random(4).randbytes(3 * modes.BLOCK_SIZE + 11)
+
+        class Trickle(io.RawIOBase):
+            def __init__(self):
+                self.pos = 0
+
+            def readable(self):
+                return True
+
+            def readinto(self, view):
+                n = min(len(view), 1000, len(data) - self.pos)
+                view[:n] = data[self.pos:self.pos + n]
+                self.pos += n
+                return n
+
+        assert handle.write_file("t.bin", Trickle()) == len(data)
+        assert handle.map_path("t.bin").stat().st_size == vault.object_size(
+            len(data), modes.V1_BLOCK_OVERHEAD)
+        assert handle.read_file("t.bin") == data
+
+    def test_read_to_memory_bounded_by_batch(self, make_vault):
+        handle = make_vault(modes.ModeId.V1)
+        handle.write_file("big.bin", bytes(3 * vault.BATCH_BLOCKS * modes.BLOCK_SIZE + 7))
+        writes = []
+
+        class Sink:
+            def write(self, view):
+                writes.append(len(view))
+
+        total = handle.read_to("big.bin", Sink(), 5)
+        assert total == sum(writes) == 3 * vault.BATCH_BLOCKS * modes.BLOCK_SIZE + 2
+        assert max(writes) <= vault.BATCH_BLOCKS * modes.BLOCK_SIZE
+        assert handle.read_to("big.bin", Sink(), 10**9) == 0
+
+    def test_enospc_is_storage_full_and_leaves_no_temp(self, make_vault, monkeypatch):
+        handle = make_vault(modes.ModeId.V1)
+        handle.write_file("full.bin", b"previous version")
+        real_open = open
+
+        class FullDisk(io.FileIO):
+            writes = 0
+
+            def write(self, data):
+                FullDisk.writes += 1
+                if FullDisk.writes > 1:  # the header fits; the first batch does not
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        def fake_open(path, mode="r", *args, **kwargs):
+            if mode == "wb":
+                return FullDisk(path, "wb")
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(vault, "open", fake_open, raising=False)
+        with pytest.raises(StorageFull):
+            handle.write_file("full.bin", os.urandom(3 * modes.BLOCK_SIZE))
+        monkeypatch.undo()
+        assert FullDisk.writes == 2
+        phys_dir = handle.map_path("full.bin").parent
+        assert not [p for p in phys_dir.iterdir() if p.name.startswith(vault.TEMP_PREFIX)]
+        assert handle.read_file("full.bin") == b"previous version"
+
+
 class TestTamper:
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_block_transplant_same_file(self, make_vault, mode):
@@ -456,6 +638,23 @@ class TestNamespace:
         assert seen[""] == (["a"], ["three"])
         assert seen["a"] == (["b"], ["one"])
         assert seen["a/b"] == ([], ["two"])
+
+    def test_walk_decrypts_each_name_once(self, make_vault, monkeypatch):
+        handle = make_vault(modes.ModeId.V1)
+        handle.write_file("a/one", b"1")
+        handle.write_file("a/b/two", b"2")
+        handle.write_file("three", b"3")
+        calls = []
+        real = modes.decrypt_filename
+
+        def counting(name_key, dir_id, encoded):
+            calls.append(encoded)
+            return real(name_key, dir_id, encoded)
+
+        monkeypatch.setattr(modes, "decrypt_filename", counting)
+        list(handle.walk())
+        # five entries: a, three, a/one, a/b, a/b/two
+        assert len(calls) == 5
 
 
 class TestOpacity:
