@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tee, vault
-from .errors import EmptyInput, InvalidSpec, StorageFull, VerificationFailure
+from .errors import EmptyInput, InvalidSpec, VerificationFailure
 from .modes import ModeId
 
 CSV_HEADER = "mode,workload,direction,rep,bytes,seconds,mbps"
@@ -133,7 +133,7 @@ def _write_random_file(path: Path, size: int, seed_key: list[int]) -> str:
     rng = np.random.default_rng(seed_key)
     h = sha256()
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as out:
+    with vault.atomic_write(path) as out:
         remaining = size
         while remaining > 0:
             chunk = rng.bytes(min(remaining, 8 * 1024 * 1024))
@@ -148,24 +148,17 @@ def generate_workload(spec: Workload, staging: str | Path) -> Manifest:
     if spec.total_bytes < 1:
         raise InvalidSpec("workload must be at least 1 byte")
     staging = Path(staging)
-    try:
-        staging.mkdir(parents=True, exist_ok=True)
-        if spec.kind is WorkloadKind.SINGLE:
-            sizes = [spec.total_bytes]
-            relpaths = ["single.bin"]
-        else:
-            sizes = _tree_sizes(spec)
-            relpaths = [f"sub{i % 8:02d}/f{i:04d}.bin" for i in range(len(sizes))]
-        entries = []
-        for i, (rel, size) in enumerate(zip(relpaths, sizes)):
-            digest = _write_random_file(staging / rel, size, [spec.seed, 1, i])
-            entries.append(ManifestEntry(relpath=rel, size=size, digest=digest))
-    except OSError as exc:
-        import errno
-
-        if exc.errno == errno.ENOSPC:
-            raise StorageFull(str(exc)) from None
-        raise
+    staging.mkdir(parents=True, exist_ok=True)
+    if spec.kind is WorkloadKind.SINGLE:
+        sizes = [spec.total_bytes]
+        relpaths = ["single.bin"]
+    else:
+        sizes = _tree_sizes(spec)
+        relpaths = [f"sub{i % 8:02d}/f{i:04d}.bin" for i in range(len(sizes))]
+    entries = []
+    for i, (rel, size) in enumerate(zip(relpaths, sizes)):
+        digest = _write_random_file(staging / rel, size, [spec.seed, 1, i])
+        entries.append(ManifestEntry(relpath=rel, size=size, digest=digest))
     return Manifest(
         kind=spec.kind,
         seed=spec.seed,

@@ -159,17 +159,11 @@ def cmd_put(args: argparse.Namespace) -> int:
 def cmd_get(args: argparse.Namespace) -> int:
     config = CliConfig.from_args(args)
     dst = Path(args.dst)
-    tmp = dst.parent / f".sealvault-get-{os.getpid()}.tmp"
     with _open_vault(config) as handle:
         handle.read_range(args.vpath, 0, 0)  # a missing or bad file fails before dst is touched
         dst.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            with open(tmp, "wb") as out:
-                written = handle.read_to(args.vpath, out)
-            os.replace(tmp, dst)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        with vault_mod.atomic_write(dst) as out:
+            written = handle.read_to(args.vpath, out)
     if config.verbose:
         print(f"wrote {written} bytes to {dst}")
     return EXIT_OK

@@ -9,9 +9,10 @@ optional integration that would wrap exactly this interface.
 from __future__ import annotations
 
 import io
+import stat
 
 from .errors import NotFound
-from .vault import VaultHandle
+from .vault import VaultHandle, invert_object_size
 
 
 class _WriteStream(io.BytesIO):
@@ -58,11 +59,13 @@ class VaultFilesystem:
         return self.handle.exists(path)
 
     def getsize(self, path: str) -> int:
-        parts = path.rstrip("/").rsplit("/", 1)
-        parent, name = (parts[0], parts[1]) if len(parts) == 2 else ("/", parts[0])
-        for entry in self.handle.list_dir(parent or "/"):
-            if entry.name == name and entry.kind == "file":
-                return entry.size
+        """Cleartext size from the object's stat and the size law alone."""
+        try:
+            st = self.handle.map_path(path).stat()
+            if stat.S_ISREG(st.st_mode):
+                return invert_object_size(st.st_size, self.handle.mode.block_overhead)
+        except (OSError, ValueError):
+            pass
         raise NotFound(f"no such file: {path!r}")
 
     def makedirs(self, path: str) -> None:

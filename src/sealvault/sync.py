@@ -10,11 +10,16 @@ comparison:
     remote changed only -> pull
     both changed        -> the remote bytes are preserved as
                            <key>.conflict-<version> (kept locally and
-                           pushed), then the local version wins
+                           pushed), then the local side wins: its content
+                           is pushed, or its deletion is applied remotely
 
 so no sync outcome discards a remote version without first materializing a
 conflict object. Sync is idempotent: with no changes on either side, a run
 performs zero transfers.
+
+Every local write (pulls, conflict copies, the state file, LocalDirStore
+objects) goes through `vault.atomic_write`, whose `.tmp-` names are never
+synced; nothing here fsyncs. The state file uses the vault's record framing.
 
 The HTTP backend speaks plain object semantics: GET/PUT/DELETE on
 <base>/<key>, an opaque version in the ETag header, If-Match for
@@ -25,8 +30,6 @@ returning a JSON array of {key, version, size}.
 from __future__ import annotations
 
 import fcntl
-import json
-import os
 import re
 import struct
 import threading
@@ -45,12 +48,12 @@ from .errors import (
     StoreUnreachable,
     VaultError,
 )
+from .vault import TEMP_PREFIX, atomic_write, pack_record, unpack_record
 
 STATE_NAME = "sync.state"
 STATE_MAGIC = b"SST1"
 STATE_VERSION = 1
 _EXCLUDED_NAMES = {STATE_NAME, ".lock"}
-_TEMP_PREFIX = ".tmp-"
 
 LEAK_WINDOW = 8  # minimum leaked-substring length the opacity scan detects
 
@@ -100,9 +103,8 @@ class LocalDirStore(RemoteStore):
                         f"{key!r}: remote version is {have}, expected {precondition_version}"
                     )
             path.parent.mkdir(parents=True, exist_ok=True)
-            tmp = path.parent / (_TEMP_PREFIX + os.urandom(8).hex())
-            tmp.write_bytes(data)
-            os.replace(tmp, path)
+            with atomic_write(path) as out:
+                out.write(data)
         return self._version_of(data)
 
     def get_object(self, key: str) -> tuple[bytes, str]:
@@ -115,7 +117,7 @@ class LocalDirStore(RemoteStore):
     def list(self, prefix: str = "") -> list[tuple[str, str, int]]:
         out = []
         for path in sorted(self.root.rglob("*")):
-            if not path.is_file() or path.name.startswith(_TEMP_PREFIX):
+            if not path.is_file() or path.name.startswith(TEMP_PREFIX):
                 continue
             key = path.relative_to(self.root).as_posix()
             if not key.startswith(prefix):
@@ -193,26 +195,19 @@ class SyncState:
             self._load(self.path.read_bytes())
 
     def _load(self, raw: bytes) -> None:
-        if len(raw) < 12 + 32 or raw[:4] != STATE_MAGIC:
-            raise StateCorrupt("not a sync state file")
-        if sha256(raw[:-32]).digest() != raw[-32:]:
-            raise StateCorrupt("sync state integrity check failed")
-        version, count = struct.unpack_from("<II", raw, 4)
-        if version != STATE_VERSION:
-            raise StateCorrupt(f"unsupported state version {version}")
-        off = 12
-        body_end = len(raw) - 32
+        count, body = unpack_record(raw, STATE_MAGIC, STATE_VERSION, StateCorrupt)
+        off = 0
         try:
             for _ in range(count):
-                (klen,) = struct.unpack_from("<I", raw, off); off += 4
-                key = raw[off:off + klen].decode("utf-8"); off += klen
-                (vlen,) = struct.unpack_from("<I", raw, off); off += 4
-                ver = raw[off:off + vlen].decode("utf-8"); off += vlen
-                digest = raw[off:off + 32]; off += 32
+                (klen,) = struct.unpack_from("<I", body, off); off += 4
+                key = body[off:off + klen].decode("utf-8"); off += klen
+                (vlen,) = struct.unpack_from("<I", body, off); off += 4
+                ver = body[off:off + vlen].decode("utf-8"); off += vlen
+                digest = body[off:off + 32]; off += 32
                 self.entries[key] = (ver, digest)
         except (struct.error, UnicodeDecodeError) as exc:
             raise StateCorrupt(f"truncated sync state: {exc}") from None
-        if off != body_end:
+        if off != len(body):
             raise StateCorrupt("trailing bytes in sync state")
 
     def save(self) -> None:
@@ -222,12 +217,9 @@ class SyncState:
             body += struct.pack("<I", len(kb)) + kb
             body += struct.pack("<I", len(vb)) + vb
             body += digest
-        record = STATE_MAGIC + struct.pack("<II", STATE_VERSION, len(self.entries)) + bytes(body)
-        record += sha256(record).digest()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.parent / (_TEMP_PREFIX + os.urandom(8).hex())
-        tmp.write_bytes(record)
-        os.replace(tmp, self.path)
+        with atomic_write(self.path) as out:
+            out.write(pack_record(STATE_MAGIC, STATE_VERSION, len(self.entries), body))
 
 
 @dataclass
@@ -248,7 +240,7 @@ def _local_files(root: Path) -> dict[str, Path]:
     for path in root.rglob("*"):
         if not path.is_file():
             continue
-        if (path.name.startswith(_TEMP_PREFIX) or path.name in _EXCLUDED_NAMES
+        if (path.name.startswith(TEMP_PREFIX) or path.name in _EXCLUDED_NAMES
                 or path.name.endswith(".lock")):
             continue
         out[path.relative_to(root).as_posix()] = path
@@ -308,32 +300,29 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
             raise ValueError(f"remote key escapes the vault root: {key!r}")
         return target
 
-    def pull(key: str, into: str | None = None) -> str:
-        data, version = store.get_object(key)
-        target_key = into or key
-        target = local_target(target_key)
+    def store_local(key: str, data: bytes, version: str) -> None:
+        target = local_target(key)
         target.parent.mkdir(parents=True, exist_ok=True)
-        tmp = target.parent / (_TEMP_PREFIX + os.urandom(8).hex())
-        tmp.write_bytes(data)
-        os.replace(tmp, target)
-        state.entries[target_key] = (version, sha256(data).digest())
-        return version
+        with atomic_write(target) as out:
+            out.write(data)
+        state.entries[key] = (version, sha256(data).digest())
 
     def conflict(key: str) -> None:
+        """Both sides changed the key, and it still exists remotely."""
         data, remote_version = store.get_object(key)
-        if sha256(data).digest() == local_digests[key]:
+        local_digest = local_digests.get(key)  # None: deleted locally
+        if sha256(data).digest() == local_digest:
             # both sides hold identical bytes: nothing to reconcile
-            state.entries[key] = (remote_version, local_digests[key])
+            state.entries[key] = (remote_version, local_digest)
             return
         conflict_key = f"{key}.conflict-{_sanitize_version(remote_version)}"
-        target = local_target(conflict_key)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(data)
-        conflict_version = store.put_object(conflict_key, data)
-        state.entries[conflict_key] = (conflict_version, sha256(data).digest())
-        # local content wins for the original key, remote copy preserved above
-        new_version = store.put_object(key, local[key].read_bytes())
-        state.entries[key] = (new_version, local_digests[key])
+        store_local(conflict_key, data, store.put_object(conflict_key, data))
+        # the local side wins the original key; the remote copy is kept above
+        if local_digest is None:
+            store.delete(key)
+            state.entries.pop(key, None)
+        else:
+            state.entries[key] = (store.put_object(key, local[key].read_bytes()), local_digest)
         report.conflicts.append(key)
 
     try:
@@ -360,25 +349,13 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
                     state.entries.pop(key, None)
                     report.pulled.append(key)
                 else:
-                    pull(key)
+                    store_local(key, *store.get_object(key))
                     report.pulled.append(key)
             else:  # both sides changed
                 if local_digest is None and remote_version is None:
                     state.entries.pop(key, None)
                 elif remote_version is None:
                     push(key, precondition=None)  # local restores deleted remote
-                elif local_digest is None:
-                    # local deletion vs remote change: preserve remote bytes
-                    data, rv = store.get_object(key)
-                    conflict_key = f"{key}.conflict-{_sanitize_version(rv)}"
-                    target = local_target(conflict_key)
-                    target.parent.mkdir(parents=True, exist_ok=True)
-                    target.write_bytes(data)
-                    version = store.put_object(conflict_key, data)
-                    state.entries[conflict_key] = (version, sha256(data).digest())
-                    store.delete(key)
-                    state.entries.pop(key, None)
-                    report.conflicts.append(key)
                 else:
                     conflict(key)
     finally:

@@ -31,6 +31,14 @@ by the batch, not the file.
 vault.cfg is a length-prefixed record protected by a SHA-256 trailer; any
 bit flip surfaces as CorruptConfig before key material is touched. It
 stores only wrapped or sealed secrets and is safe to sync to a remote.
+
+One helper does each recurring job, here and in `sync`, `cli` and `bench`:
+`atomic_write` writes every file (a .tmp-<hex> sibling, then os.replace;
+only a new entry's dirid.sc, in its fresh staging directory, is written
+directly), `pack_record`/`unpack_record` frame vault.cfg and sync.state, and
+`VaultHandle._entry` maps a path to its (parent dir id, physical entry). A
+directory rename stages the new entry before it removes the old one, so a
+crash leaves at worst two names for one directory.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ import os
 import shutil
 import struct
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
@@ -98,6 +107,47 @@ _SEALED = 2
 
 _SEALED_KEY_SIZE = tee.HEADER_SIZE + 32  # sealed blob carrying a 32-byte key
 
+_RECORD_HEADER = struct.Struct("<4sII")  # magic, version, count; SHA-256 trailer
+
+
+@contextmanager
+def atomic_write(path: Path) -> Iterator[BinaryIO]:
+    """Write `path` all or nothing: yield a binary file on a `.tmp-<hex>`
+    sibling and os.replace it over `path` when the body returns. A failure
+    removes the temp file and keeps the old content (ENOSPC is StorageFull).
+    Nothing is fsynced; a caller that needs durability fsyncs in the body."""
+    tmp = path.with_name(TEMP_PREFIX + os.urandom(8).hex())
+    try:
+        with open(tmp, "wb") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno == errno.ENOSPC:
+            raise StorageFull(str(exc)) from None
+        raise
+
+
+def pack_record(magic: bytes, version: int, count: int, body: bytes) -> bytes:
+    """magic | u32 version | u32 count | body | SHA-256 of all before it;
+    `count` is a body length or an entry count, as the format says."""
+    record = _RECORD_HEADER.pack(magic, version, count) + body
+    return record + sha256(record).digest()
+
+
+def unpack_record(raw: bytes, magic: bytes, version: int,
+                  error_cls: type[Exception]) -> tuple[int, bytes]:
+    """Check a record's magic, SHA-256 trailer and version, in that order,
+    raising `error_cls` on any mismatch; returns (count, body)."""
+    if len(raw) < _RECORD_HEADER.size + 32 or raw[:4] != magic:
+        raise error_cls(f"not a {magic.decode()} record")
+    if sha256(raw[:-32]).digest() != raw[-32:]:
+        raise error_cls(f"{magic.decode()} record integrity check failed")
+    _, got, count = _RECORD_HEADER.unpack_from(raw)
+    if got != version:
+        raise error_cls(f"unsupported {magic.decode()} record version {got}")
+    return count, raw[_RECORD_HEADER.size:-32]
+
 
 @dataclass
 class VaultConfig:
@@ -128,19 +178,11 @@ class VaultConfig:
             body += b"\x01" + self.enclave_measurement + self.enclave_signer
         else:
             body += b"\x00"
-        record = CONFIG_MAGIC + struct.pack("<II", self.format_version, len(body)) + bytes(body)
-        return record + sha256(record).digest()
+        return pack_record(CONFIG_MAGIC, self.format_version, len(body), body)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "VaultConfig":
-        if len(raw) < 12 + 32 or raw[:4] != CONFIG_MAGIC:
-            raise CorruptConfig("not a vault config record")
-        if sha256(raw[:-32]).digest() != raw[-32:]:
-            raise CorruptConfig("config integrity check failed")
-        version, body_len = struct.unpack_from("<II", raw, 4)
-        if version != CONFIG_VERSION:
-            raise CorruptConfig(f"unsupported config version {version}")
-        body = raw[12:-32]
+        body_len, body = unpack_record(raw, CONFIG_MAGIC, CONFIG_VERSION, CorruptConfig)
         if len(body) != body_len:
             raise CorruptConfig("config length mismatch")
         try:
@@ -175,7 +217,7 @@ class VaultConfig:
         ):
             raise CorruptConfig("sealed config must carry a sealed content key and enclave descriptor")
         return cls(
-            format_version=version,
+            format_version=CONFIG_VERSION,
             vault_id=vault_id,
             mode=mode,
             kdf_salt=salt,
@@ -386,13 +428,6 @@ class VaultHandle:
         except InvalidTag:
             raise AuthenticationFailure("directory id failed authentication") from None
 
-    def _write_dirid(self, entry_dir: Path, parent_id: bytes, child_id: bytes) -> None:
-        iv = os.urandom(12)
-        blob = iv + AESGCM(self._keys().name_key).encrypt(
-            iv, child_id, _LABEL_DIR_ID + parent_id
-        )
-        (entry_dir / DIRID_NAME).write_bytes(blob)
-
     def _resolve_dir(self, parts: list[str], create: bool = False) -> tuple[bytes, Path]:
         """Walk directory components to (dir_id, physical path)."""
         self._keys()
@@ -404,7 +439,7 @@ class VaultHandle:
             if entry.is_dir():
                 child_id = self._read_dirid(entry, dir_id)
             elif create:
-                child_id = self._create_dir_entry(phys, entry, dir_id)
+                child_id = self._create_dir_entry(entry, dir_id, os.urandom(16))
             elif entry.exists():
                 raise NotFound(f"{comp!r} is a file, not a directory")
             else:
@@ -416,13 +451,16 @@ class VaultHandle:
             phys.mkdir(parents=True, exist_ok=True)
         return dir_id, phys
 
-    def _create_dir_entry(self, phys: Path, entry: Path, parent_id: bytes) -> bytes:
-        """Create a subdirectory entry atomically: stage the entry with its
-        dirid object, rename into place, and defer to a concurrent winner."""
-        child_id = os.urandom(16)
-        staging = phys / (TEMP_PREFIX + os.urandom(8).hex())
+    def _create_dir_entry(self, entry: Path, parent_id: bytes, child_id: bytes) -> bytes:
+        """Create an entry for directory `child_id` atomically: stage it with
+        its dirid object (bound to `parent_id`), rename it into place, and
+        defer to a concurrent winner, whose id is then returned instead."""
+        staging = entry.with_name(TEMP_PREFIX + os.urandom(8).hex())
         staging.mkdir(parents=True)
-        self._write_dirid(staging, parent_id, child_id)
+        iv = os.urandom(12)
+        (staging / DIRID_NAME).write_bytes(iv + AESGCM(self._keys().name_key).encrypt(
+            iv, child_id, _LABEL_DIR_ID + parent_id
+        ))
         try:
             os.rename(staging, entry)
         except OSError:
@@ -438,14 +476,23 @@ class VaultHandle:
         self._shard_dir(child_id).mkdir(parents=True, exist_ok=True)
         return child_id
 
+    @staticmethod
+    def _drop_dir_entry(entry: Path) -> None:
+        """Remove a subdirectory entry (not the directory's shard)."""
+        (entry / DIRID_NAME).unlink(missing_ok=True)
+        entry.rmdir()
+
+    def _entry(self, parts: list[str], create: bool = False) -> tuple[bytes, Path]:
+        """(parent dir id, physical entry) of a non-root path; `create` makes parents."""
+        dir_id, phys = self._resolve_dir(parts[:-1], create=create)
+        return dir_id, phys / self._encrypt_name(dir_id, parts[-1])
+
     def map_path(self, logical_path: str) -> Path:
         """Physical location of a logical path (pure function of the keys)."""
         parts = _split_path(logical_path)
         if not parts:
-            _, phys = self._resolve_dir([])
-            return phys
-        dir_id, phys = self._resolve_dir(parts[:-1])
-        return phys / self._encrypt_name(dir_id, parts[-1])
+            return self._resolve_dir([])[1]
+        return self._entry(parts)[1]
 
     def exists(self, logical_path: str) -> bool:
         try:
@@ -521,52 +568,35 @@ class VaultHandle:
     def write_file(self, logical_path: str, content: bytes | BinaryIO) -> int:
         """Encrypt and store content (a bytes-like object, or a binary stream
         with readinto) at a logical path, creating parent directories as
-        needed. Overwrites atomically (temp file + rename). Returns the
-        number of cleartext bytes stored."""
+        needed. Overwrites atomically (atomic_write, fsynced before the
+        rename). Returns the number of cleartext bytes stored."""
         parts = _split_path(logical_path)
         if not parts:
             raise InvalidName("cannot write to the vault root")
-        logical = "/".join(parts)
-        with self._write_lock(logical):
-            dir_id, phys = self._resolve_dir(parts[:-1], create=True)
-            target = phys / self._encrypt_name(dir_id, parts[-1])
+        with self._write_lock("/".join(parts)):
+            _, target = self._entry(parts, create=True)
             if target.is_dir():
                 raise InvalidName(f"{parts[-1]!r} is a directory")
             file_id = os.urandom(16)
             file_key = os.urandom(32)
             cipher = self._block_cipher(file_id, file_key)
-            tmp = phys / (TEMP_PREFIX + os.urandom(8).hex())
-            try:
-                with open(tmp, "wb") as out:
-                    out.write(self._build_header(file_id, file_key))
-                    stored = self._write_blocks(out, cipher, content)
-                    out.flush()
-                    os.fsync(out.fileno())
-                os.replace(tmp, target)
-            except OSError as exc:
-                tmp.unlink(missing_ok=True)
-                if exc.errno == errno.ENOSPC:
-                    raise StorageFull(str(exc)) from None
-                raise
-            except BaseException:
-                tmp.unlink(missing_ok=True)
-                raise
+            with atomic_write(target) as out:
+                out.write(self._build_header(file_id, file_key))
+                stored = self._write_blocks(out, cipher, content)
+                out.flush()
+                os.fsync(out.fileno())
             return stored
-
-    def _locate_file(self, logical_path: str) -> Path:
-        parts = _split_path(logical_path)
-        if not parts:
-            raise NotFound("the vault root is not a file")
-        dir_id, phys = self._resolve_dir(parts[:-1])
-        target = phys / self._encrypt_name(dir_id, parts[-1])
-        if not target.is_file():
-            raise NotFound(f"no such file: {logical_path!r}")
-        return target
 
     def _open_object(self, logical_path: str) -> tuple[BinaryIO, modes.BlockCipher, int]:
         """Open a stored file: (unbuffered handle just past the header, the
         file's block cipher, cleartext size by the size law)."""
-        fh = open(self._locate_file(logical_path), "rb", buffering=0)
+        parts = _split_path(logical_path)
+        if not parts:
+            raise NotFound("the vault root is not a file")
+        _, target = self._entry(parts)
+        if not target.is_file():
+            raise NotFound(f"no such file: {logical_path!r}")
+        fh = open(target, "rb", buffering=0)
         try:
             file_id, file_key = self._parse_header(fh.read(FILE_HEADER_SIZE))
             try:
@@ -690,8 +720,7 @@ class VaultHandle:
         parts = _split_path(logical_path)
         if not parts:
             raise InvalidName("cannot remove the vault root")
-        dir_id, phys = self._resolve_dir(parts[:-1])
-        target = phys / self._encrypt_name(dir_id, parts[-1])
+        dir_id, target = self._entry(parts)
         if target.is_file():
             target.unlink()
             return
@@ -702,34 +731,36 @@ class VaultHandle:
                 raise DirectoryNotEmpty(f"directory not empty: {logical_path!r}")
             if shard.exists():
                 shard.rmdir()
-            (target / DIRID_NAME).unlink(missing_ok=True)
-            target.rmdir()
+            self._drop_dir_entry(target)
             return
         raise NotFound(f"no such entry: {logical_path!r}")
 
     def rename_file(self, src_path: str, dst_path: str) -> None:
         """Re-encrypt an entry's name; file content objects are untouched
-        (bit-identical before and after)."""
+        (bit-identical before and after). A directory gets a new entry,
+        staged and renamed into place, before its old entry is removed."""
         src_parts = _split_path(src_path)
         dst_parts = _split_path(dst_path)
         if not src_parts or not dst_parts:
             raise InvalidName("cannot rename the vault root")
-        src_dir_id, src_phys = self._resolve_dir(src_parts[:-1])
-        src = src_phys / self._encrypt_name(src_dir_id, src_parts[-1])
+        src_dir_id, src = self._entry(src_parts)
         if not src.exists():
             raise NotFound(f"no such entry: {src_path!r}")
-        dst_dir_id, dst_phys = self._resolve_dir(dst_parts[:-1])
-        dst = dst_phys / self._encrypt_name(dst_dir_id, dst_parts[-1])
-        if src.is_dir():
-            if dst.exists():
-                raise TargetNotEmpty(f"destination exists: {dst_path!r}")
-            child_id = self._read_dirid(src, src_dir_id)
-            os.rename(src, dst)
-            self._write_dirid(dst, dst_dir_id, child_id)  # AAD binds the parent
-        else:
+        is_dir = src.is_dir()
+        if is_dir and dst_parts[:len(src_parts)] == src_parts:
+            raise InvalidName(f"cannot move {src_path!r} into itself")
+        dst_dir_id, dst = self._entry(dst_parts)
+        if not is_dir:
             if dst.is_dir():
                 raise TargetNotEmpty(f"destination is a directory: {dst_path!r}")
-            os.replace(src, dst)
+            os.rename(src, dst)
+            return
+        if dst.exists():
+            raise TargetNotEmpty(f"destination exists: {dst_path!r}")
+        child_id = self._read_dirid(src, src_dir_id)
+        if self._create_dir_entry(dst, dst_dir_id, child_id) != child_id:
+            raise TargetNotEmpty(f"destination exists: {dst_path!r}")
+        self._drop_dir_entry(src)
 
     def walk(self, logical_path: str = "/") -> Iterator[tuple[str, list[str], list[str]]]:
         """os.walk-style traversal of the logical namespace."""
@@ -810,7 +841,8 @@ def create_vault(
         enclave_signer=signer,
     )
     root.mkdir(parents=True, exist_ok=True)
-    (root / CONFIG_NAME).write_bytes(config.to_bytes())
+    with atomic_write(root / CONFIG_NAME) as out:
+        out.write(config.to_bytes())
     # materialize the root directory's physical shard
     shard = _hmac256(master.name_key, ROOT_DIR_ID).hex()
     (root / DATA_DIR / shard[:2] / shard[2:32]).mkdir(parents=True)

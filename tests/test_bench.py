@@ -1,11 +1,14 @@
 """Benchmark harness: corpus determinism, record shape, summaries, CSV."""
 
+import errno
+import io
 import math
+import os
 
 import pytest
 
-from sealvault import bench
-from sealvault.errors import EmptyInput, InvalidSpec, VerificationFailure
+from sealvault import bench, vault
+from sealvault.errors import EmptyInput, InvalidSpec, StorageFull, VerificationFailure
 
 MiB = 1024 * 1024
 
@@ -51,6 +54,32 @@ class TestGenerateWorkload:
             bench.generate_workload(
                 bench.Workload(bench.WorkloadKind.TREE, 1024, file_count=10), tmp_path
             )
+
+    def test_enospc_is_storage_full_and_leaves_no_partial_file(self, tmp_path, monkeypatch):
+        real_open = open
+
+        class FullDisk(io.FileIO):
+            writes = 0
+
+            def write(self, data):
+                FullDisk.writes += 1
+                if FullDisk.writes > 1:  # the first 8 MiB chunk fits; the rest does not
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(data)
+
+        def fake_open(path, mode="r", *args, **kwargs):
+            if mode == "wb":
+                return FullDisk(path, "wb")
+            return real_open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(vault, "open", fake_open, raising=False)
+        with pytest.raises(StorageFull):
+            bench.generate_workload(
+                bench.Workload(bench.WorkloadKind.SINGLE, 9 * MiB), tmp_path / "s"
+            )
+        monkeypatch.undo()
+        assert FullDisk.writes == 2
+        assert list((tmp_path / "s").iterdir()) == []
 
 
 class TestRunBench:

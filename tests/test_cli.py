@@ -100,6 +100,20 @@ class TestFileCommands:
         assert (env / "keep.bin").read_bytes() == b"previous"
         assert [p.name for p in env.iterdir() if p.name.startswith(".sealvault-get-")] == []
 
+    def test_failed_get_leaves_no_temp_file(self, env):
+        _init(env)
+        vaultdir = str(env / "vault")
+        src = env / "src.bin"
+        src.write_bytes(os.urandom(70_000))
+        assert cli.main(["put", str(src), "f.bin", "--vault", vaultdir]) == 0
+        raw = _file_object(env / "vault")
+        data = bytearray(raw.read_bytes())
+        data[-1] ^= 1  # the header checks out, so the copy starts before it fails
+        raw.write_bytes(bytes(data))
+        (env / "out").mkdir()
+        assert cli.main(["get", "f.bin", str(env / "out" / "f.bin"), "--vault", vaultdir]) == 3
+        assert list((env / "out").iterdir()) == []
+
     def test_wrong_password_is_exit_3(self, env, monkeypatch):
         _init(env)
         bad = env / "bad.txt"

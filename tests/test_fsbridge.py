@@ -2,7 +2,7 @@
 
 import pytest
 
-from sealvault import modes
+from sealvault import modes, vault
 from sealvault.errors import NotFound
 from sealvault.fsbridge import VaultFilesystem
 
@@ -50,3 +50,28 @@ def test_remove_rename_exists(fs):
 def test_unsupported_mode(fs):
     with pytest.raises(ValueError):
         fs.open("x", "r+")
+
+
+def test_getsize_decrypts_no_names(fs, monkeypatch):
+    sizes = {"d/a": 5, "d/empty": 0, "d/block": 32768, "d/more": 32769}
+    for path, size in sizes.items():
+        fs.handle.write_file(path, bytes(size))
+    fs.makedirs("d/sub")
+    calls = []
+    real = modes.decrypt_filename
+
+    def counting(name_key, dir_id, encoded):
+        calls.append(encoded)
+        return real(name_key, dir_id, encoded)
+
+    monkeypatch.setattr(modes, "decrypt_filename", counting)
+    assert {path: fs.getsize(path) for path in sizes} == sizes
+    assert calls == []
+
+
+def test_getsize_not_found(fs):
+    fs.makedirs("d/sub")
+    fs.handle.map_path("d/bad").write_bytes(bytes(vault.FILE_HEADER_SIZE + 1))
+    for path in ("/", "d", "d/sub", "d/missing", "nope/x", "d/bad"):
+        with pytest.raises(NotFound):
+            fs.getsize(path)

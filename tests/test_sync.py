@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import struct
 import threading
 from hashlib import sha256
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -144,6 +145,20 @@ class TestLocalDirStore:
         assert va != vb
         assert store.put_object("k2", b"alpha") == va
 
+    def test_put_crash_keeps_old_object(self, tmp_path, monkeypatch):
+        store = sync.LocalDirStore(tmp_path)
+        store.put_object("d/k", b"old")
+
+        def exploding_replace(src, dst):
+            raise RuntimeError("simulated crash before rename")
+
+        monkeypatch.setattr(os, "replace", exploding_replace)
+        with pytest.raises(RuntimeError):
+            store.put_object("d/k", b"new")
+        monkeypatch.undo()
+        assert store.get_object("d/k")[0] == b"old"
+        assert [p.name for p in (tmp_path / "d").iterdir()] == ["k"]
+
     def test_key_escape_rejected(self, tmp_path):
         store = sync.LocalDirStore(tmp_path / "r")
         with pytest.raises(ValueError):
@@ -224,6 +239,39 @@ class TestSyncState:
             (tmp_path / "s").write_bytes(bytes(tampered))
             with pytest.raises(StateCorrupt):
                 sync.SyncState(tmp_path / "s")
+
+
+    def test_golden_layout(self, tmp_path):
+        state = sync.SyncState(tmp_path / "s")
+        state.entries["zeta/\u00e9"] = ("ver-2", b"\x02" * 32)
+        state.entries["alpha"] = ("v1", b"\x01" * 32)
+        state.save()
+        # magic | u32 version | u32 entry count | entries sorted by key, each
+        # u32 key length, UTF-8 key, u32 version length, version, 32-byte
+        # digest | SHA-256 of everything before it; integers little-endian
+        body = b""
+        for key, ver, digest in (("alpha", "v1", b"\x01" * 32),
+                                 ("zeta/\u00e9", "ver-2", b"\x02" * 32)):
+            kb, vb = key.encode("utf-8"), ver.encode("utf-8")
+            body += struct.pack("<I", len(kb)) + kb + struct.pack("<I", len(vb)) + vb + digest
+        record = b"SST1" + struct.pack("<II", 1, 2) + body
+        assert (tmp_path / "s").read_bytes() == record + sha256(record).digest()
+
+    def test_save_crash_keeps_old_state(self, tmp_path, monkeypatch):
+        state = sync.SyncState(tmp_path / "s")
+        state.entries["k"] = ("v1", bytes(32))
+        state.save()
+
+        def exploding_replace(src, dst):
+            raise RuntimeError("simulated crash before rename")
+
+        monkeypatch.setattr(os, "replace", exploding_replace)
+        state.entries["k"] = ("v2", b"\x01" * 32)
+        with pytest.raises(RuntimeError):
+            state.save()
+        monkeypatch.undo()
+        assert sync.SyncState(tmp_path / "s").entries == {"k": ("v1", bytes(32))}
+        assert [p.name for p in tmp_path.iterdir()] == ["s"]
 
 
 # -- three-way sync -----------------------------------------------------------
@@ -338,6 +386,25 @@ class TestSync:
         assert store.get_object("obj")[0] == b"local edit"
         assert store.get_object(conflict_files[0])[0] == b"remote edit"
         # convergent afterwards
+        again = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        assert not again.pushed and not again.pulled and not again.conflicts
+
+    def test_local_delete_vs_remote_change_keeps_remote_bytes(self, tmp_path):
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"common base")
+        store = sync.LocalDirStore(tmp_path / "remote")
+        sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        (root / "obj").unlink()
+        store.put_object("obj", b"remote edit")
+        report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        assert report.conflicts == ["obj"]
+        local_copies = [p.name for p in root.iterdir() if ".conflict-" in p.name]
+        assert len(local_copies) == 1 and local_copies[0].startswith("obj.conflict-")
+        assert (root / local_copies[0]).read_bytes() == b"remote edit"
+        assert not (root / "obj").exists()
+        # the deletion won remotely; the remote bytes live on as one conflict object
+        assert [k for k, _, _ in store.list("")] == local_copies
+        assert store.get_object(local_copies[0])[0] == b"remote edit"
         again = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
         assert not again.pushed and not again.pulled and not again.conflicts
 

@@ -680,3 +680,110 @@ class TestOpacity:
         (handle.root / "oops.bin").write_bytes(secret)
         findings = sync.scan_tree_opacity(handle.root, [secret])
         assert any(f["key"] == "oops.bin" for f in findings)
+
+
+class TestDirectoryRename:
+    def test_move_into_own_subtree_rejected(self, make_vault):
+        handle = make_vault(modes.ModeId.V1)
+        handle.write_file("a/b/f.txt", b"deep")
+        for dst in ("a", "a/b", "a/c", "a/b/c/d", "/a/b/"):
+            with pytest.raises(InvalidName):
+                handle.rename_file("a", dst)
+        assert [e.name for e in handle.list_dir("/")] == ["a"]
+        assert handle.read_file("a/b/f.txt") == b"deep"
+        handle.rename_file("a", "ab")  # a name prefix, not a path prefix
+        assert handle.read_file("ab/b/f.txt") == b"deep"
+
+    def test_rebinds_dirid_and_leaves_no_staging(self, make_vault):
+        handle = make_vault(modes.ModeId.SEALED)
+        handle.write_file("x/d/f", b"1")
+        handle.make_dir("y")
+        handle.rename_file("x/d", "y/d2")
+        assert handle.read_file("y/d2/f") == b"1"
+        assert handle.list_dir("x") == []
+        assert [e.name for e in handle.list_dir("y")] == ["d2"]
+        for logical in ("x", "y"):
+            shard_dir = handle.map_path(f"{logical}/any").parent
+            assert not [p for p in shard_dir.iterdir() if p.name.startswith(vault.TEMP_PREFIX)]
+
+    def test_failed_staged_rename_leaves_source_intact(self, make_vault, monkeypatch):
+        handle = make_vault(modes.ModeId.V1)
+        handle.write_file("src/f", b"payload")
+        real_rename = os.rename
+
+        def failing_rename(src, dst):
+            if os.path.basename(src).startswith(vault.TEMP_PREFIX):
+                raise OSError(errno.EIO, "simulated crash in the staged rename")
+            return real_rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", failing_rename)
+        with pytest.raises(OSError):
+            handle.rename_file("src", "dst")
+        monkeypatch.undo()
+        assert [e.name for e in handle.list_dir("/")] == ["src"]
+        assert handle.read_file("src/f") == b"payload"
+        root_shard = handle.map_path("/")
+        assert not [p for p in root_shard.iterdir() if p.name.startswith(vault.TEMP_PREFIX)]
+
+    def test_lost_race_is_target_not_empty(self, make_vault, monkeypatch):
+        handle = make_vault(modes.ModeId.V1)
+        handle.write_file("src/f", b"ours")
+        real_rename = os.rename
+        raced = []
+
+        def racing_rename(src, dst):
+            if os.path.basename(src).startswith(vault.TEMP_PREFIX) and not raced:
+                raced.append(dst)  # another writer creates the destination first
+                handle.write_file("dst/theirs", b"theirs")
+            return real_rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", racing_rename)
+        with pytest.raises(TargetNotEmpty):
+            handle.rename_file("src", "dst")
+        monkeypatch.undo()
+        assert raced
+        assert handle.read_file("src/f") == b"ours"
+        assert [e.name for e in handle.list_dir("dst")] == ["theirs"]
+        assert handle.read_file("dst/theirs") == b"theirs"
+
+    def test_crash_before_source_removed_keeps_both_names(self, make_vault, monkeypatch):
+        handle = make_vault(modes.ModeId.SEALED)
+        handle.write_file("src/f", b"payload")
+        handle.write_file("src/sub/g", b"nested")
+
+        def crash(entry):
+            raise RuntimeError("simulated crash before the source entry is removed")
+
+        monkeypatch.setattr(vault.VaultHandle, "_drop_dir_entry", staticmethod(crash))
+        with pytest.raises(RuntimeError):
+            handle.rename_file("src", "dst")
+        monkeypatch.undo()
+        assert [e.name for e in handle.list_dir("/")] == ["dst", "src"]
+        assert handle.list_dir("src") == handle.list_dir("dst")
+        for name in ("src", "dst"):
+            assert handle.read_file(f"{name}/f") == b"payload"
+            assert handle.read_file(f"{name}/sub/g") == b"nested"
+        handle.write_file("dst/h", b"new")  # one directory behind both names
+        assert handle.read_file("src/h") == b"new"
+
+
+class TestAtomicWrite:
+    def test_failed_body_keeps_old_content_and_leaves_no_temp(self, tmp_path):
+        target = tmp_path / "obj"
+        target.write_bytes(b"old")
+        with pytest.raises(RuntimeError):
+            with vault.atomic_write(target) as out:
+                out.write(b"half of the new")
+                raise RuntimeError("simulated crash mid-write")
+        assert target.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["obj"]
+        with vault.atomic_write(target) as out:
+            out.write(b"new")
+        assert target.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["obj"]
+
+    def test_enospc_is_storage_full(self, tmp_path):
+        with pytest.raises(StorageFull):
+            with vault.atomic_write(tmp_path / "obj"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert list(tmp_path.iterdir()) == []
