@@ -58,6 +58,12 @@ _EXCLUDED_NAMES = {STATE_NAME, ".lock"}
 LEAK_WINDOW = 8  # minimum leaked-substring length the opacity scan detects
 
 
+def _is_temp(key: str) -> bool:
+    """True for a key with a `.tmp-` component at any depth: an atomic-write
+    temp file, or a directory entry left staged or half-removed by a crash."""
+    return "/" + TEMP_PREFIX in "/" + key
+
+
 class RemoteStore:
     """Abstract object store: opaque versions, comparable for equality only."""
 
@@ -117,10 +123,10 @@ class LocalDirStore(RemoteStore):
     def list(self, prefix: str = "") -> list[tuple[str, str, int]]:
         out = []
         for path in sorted(self.root.rglob("*")):
-            if not path.is_file() or path.name.startswith(TEMP_PREFIX):
+            if not path.is_file():
                 continue
             key = path.relative_to(self.root).as_posix()
-            if not key.startswith(prefix):
+            if _is_temp(key) or not key.startswith(prefix):
                 continue
             data = path.read_bytes()
             out.append((key, self._version_of(data), len(data)))
@@ -238,12 +244,11 @@ class SyncReport:
 def _local_files(root: Path) -> dict[str, Path]:
     out: dict[str, Path] = {}
     for path in root.rglob("*"):
-        if not path.is_file():
+        if not path.is_file() or path.name in _EXCLUDED_NAMES or path.name.endswith(".lock"):
             continue
-        if (path.name.startswith(TEMP_PREFIX) or path.name in _EXCLUDED_NAMES
-                or path.name.endswith(".lock")):
-            continue
-        out[path.relative_to(root).as_posix()] = path
+        key = path.relative_to(root).as_posix()
+        if not _is_temp(key):
+            out[key] = path
     return out
 
 

@@ -36,9 +36,18 @@ One helper does each recurring job, here and in `sync`, `cli` and `bench`:
 `atomic_write` writes every file (a .tmp-<hex> sibling, then os.replace;
 only a new entry's dirid.sc, in its fresh staging directory, is written
 directly), `pack_record`/`unpack_record` frame vault.cfg and sync.state, and
-`VaultHandle._entry` maps a path to its (parent dir id, physical entry). A
-directory rename stages the new entry before it removes the old one, so a
-crash leaves at worst two names for one directory.
+`VaultHandle._entry` maps a path to its (parent dir id, physical entry).
+
+Each namespace step asks the filesystem one question, on plain str paths: a
+path level is resolved by opening its entry's dirid.sc (a missing entry, or
+a file in the way, is NotFound), a read opens the object, and a directory
+removal lets rmdir of its shard decide whether it is empty. A directory is
+created by renaming a staged .tmp- entry into place, removed by renaming its
+entry to a .tmp- name before deleting it, and renamed by staging the new
+entry before removing the old one. So a crash at any step leaves at worst a
+.tmp- name, which listing and sync skip at any depth, or two names for one
+directory. Writes to one logical path serialize on one of a handle's
+_WRITE_LOCK_STRIPES locks, which unrelated paths may share.
 """
 
 from __future__ import annotations
@@ -49,7 +58,7 @@ import os
 import shutil
 import struct
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
@@ -85,6 +94,8 @@ TEMP_PREFIX = ".tmp-"
 # Blocks moved per read or write batch (1 MiB of cleartext); buffers are
 # sized to the request, up to this cap.
 BATCH_BLOCKS = 32
+# Write locks per handle; a path's writes serialize on lock hash(path) % this.
+_WRITE_LOCK_STRIPES = 64
 
 CONFIG_MAGIC = b"SVC1"
 CONFIG_VERSION = 1
@@ -110,19 +121,24 @@ _SEALED_KEY_SIZE = tee.HEADER_SIZE + 32  # sealed blob carrying a 32-byte key
 _RECORD_HEADER = struct.Struct("<4sII")  # magic, version, count; SHA-256 trailer
 
 
+def _temp_sibling(path: str | os.PathLike) -> str:
+    return os.path.join(os.path.dirname(path), TEMP_PREFIX + os.urandom(8).hex())
+
+
 @contextmanager
-def atomic_write(path: Path) -> Iterator[BinaryIO]:
+def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
     """Write `path` all or nothing: yield a binary file on a `.tmp-<hex>`
     sibling and os.replace it over `path` when the body returns. A failure
     removes the temp file and keeps the old content (ENOSPC is StorageFull).
     Nothing is fsynced; a caller that needs durability fsyncs in the body."""
-    tmp = path.with_name(TEMP_PREFIX + os.urandom(8).hex())
+    tmp = _temp_sibling(path)
     try:
         with open(tmp, "wb") as out:
             yield out
         os.replace(tmp, path)
     except BaseException as exc:
-        tmp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
         if isinstance(exc, OSError) and exc.errno == errno.ENOSPC:
             raise StorageFull(str(exc)) from None
         raise
@@ -287,8 +303,10 @@ def invert_object_size(ciphertext_size: int, block_overhead: int) -> int:
     return cleartext
 
 
-def _hmac256(key: bytes, message: bytes) -> bytes:
-    return hmac.new(key, message, "sha256").digest()
+def _shard_path(root: str | os.PathLike, name_key: bytes, dir_id: bytes) -> str:
+    """Physical directory of a directory id: d/<2 hex>/<30 hex> of its HMAC."""
+    digest = hmac.digest(name_key, dir_id, "sha256").hex()
+    return os.path.join(root, DATA_DIR, digest[:2], digest[2:32])
 
 
 def _file_key_label(file_id: bytes) -> bytes:
@@ -355,7 +373,9 @@ def _split_path(logical_path: str) -> list[str]:
 
 class VaultHandle:
     """An unlocked vault. Obtained from unlock_vault; rejects all I/O after
-    lock(). Concurrent readers are fine; writes serialize per logical path."""
+    lock(). Concurrent readers are fine; writes to one logical path
+    serialize on one of a fixed set of lock stripes (picked by the path's
+    hash, so unrelated paths may share one)."""
 
     def __init__(
         self,
@@ -369,8 +389,7 @@ class VaultHandle:
         self.mode = config.mode
         self._master: modes.MasterKeys | None = master
         self._session = session
-        self._locks_guard = threading.Lock()
-        self._path_locks: dict[str, threading.Lock] = {}
+        self._write_locks = tuple(threading.Lock() for _ in range(_WRITE_LOCK_STRIPES))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -404,21 +423,14 @@ class VaultHandle:
         keys = self._session if self.mode is modes.ModeId.SEALED else file_key
         return modes.block_cipher(self.mode, keys, file_id)
 
-    def _write_lock(self, logical: str) -> threading.Lock:
-        with self._locks_guard:
-            return self._path_locks.setdefault(logical, threading.Lock())
-
     # -- path resolution ----------------------------------------------------
 
-    def _shard_dir(self, dir_id: bytes) -> Path:
-        digest = _hmac256(self._keys().name_key, dir_id).hex()
-        return self.root / DATA_DIR / digest[:2] / digest[2:32]
-
-    def _encrypt_name(self, dir_id: bytes, name: str) -> str:
-        return modes.encrypt_filename(self._keys().name_key, dir_id, name)
-
-    def _read_dirid(self, entry_dir: Path, parent_id: bytes) -> bytes:
-        raw = (entry_dir / DIRID_NAME).read_bytes()
+    def _read_dirid(self, entry: str, parent_id: bytes) -> bytes:
+        """The directory id stored in a subdirectory entry. The open is the
+        only probe: FileNotFoundError means no entry (or one without its
+        dirid object), NotADirectoryError means a file holds the name."""
+        with open(os.path.join(entry, DIRID_NAME), "rb") as fh:
+            raw = fh.read()
         if len(raw) != 44:
             raise MalformedBlock("directory id object has wrong size")
         try:
@@ -428,71 +440,72 @@ class VaultHandle:
         except InvalidTag:
             raise AuthenticationFailure("directory id failed authentication") from None
 
-    def _resolve_dir(self, parts: list[str], create: bool = False) -> tuple[bytes, Path]:
-        """Walk directory components to (dir_id, physical path)."""
-        self._keys()
+    def _resolve_dir(self, parts: list[str], create: bool = False) -> tuple[bytes, str]:
+        """Walk directory components to (dir_id, physical shard path)."""
+        name_key = self._keys().name_key
         dir_id = ROOT_DIR_ID
-        phys = self._shard_dir(dir_id)
         for comp in parts:
-            ename = self._encrypt_name(dir_id, comp)
-            entry = phys / ename
-            if entry.is_dir():
-                child_id = self._read_dirid(entry, dir_id)
-            elif create:
-                child_id = self._create_dir_entry(entry, dir_id, os.urandom(16))
-            elif entry.exists():
-                raise NotFound(f"{comp!r} is a file, not a directory")
-            else:
-                raise NotFound(f"no such directory: {comp!r}")
-            dir_id = child_id
-            phys = self._shard_dir(dir_id)
+            entry = os.path.join(_shard_path(self.root, name_key, dir_id),
+                                 modes.encrypt_filename(name_key, dir_id, comp))
+            try:
+                dir_id = self._read_dirid(entry, dir_id)
+            except NotADirectoryError:
+                raise NotFound(f"{comp!r} is a file, not a directory") from None
+            except FileNotFoundError:
+                if not create:
+                    raise NotFound(f"no such directory: {comp!r}") from None
+                dir_id = self._create_dir_entry(entry, dir_id, os.urandom(16))
+        shard = _shard_path(self.root, name_key, dir_id)
         if create:
             # a synced replica may lack shard dirs for empty directories
-            phys.mkdir(parents=True, exist_ok=True)
-        return dir_id, phys
+            os.makedirs(shard, exist_ok=True)
+        return dir_id, shard
 
-    def _create_dir_entry(self, entry: Path, parent_id: bytes, child_id: bytes) -> bytes:
+    def _create_dir_entry(self, entry: str, parent_id: bytes, child_id: bytes) -> bytes:
         """Create an entry for directory `child_id` atomically: stage it with
         its dirid object (bound to `parent_id`), rename it into place, and
         defer to a concurrent winner, whose id is then returned instead."""
-        staging = entry.with_name(TEMP_PREFIX + os.urandom(8).hex())
-        staging.mkdir(parents=True)
+        staging = _temp_sibling(entry)
+        os.makedirs(staging)
         iv = os.urandom(12)
-        (staging / DIRID_NAME).write_bytes(iv + AESGCM(self._keys().name_key).encrypt(
-            iv, child_id, _LABEL_DIR_ID + parent_id
-        ))
+        with open(os.path.join(staging, DIRID_NAME), "wb") as out:
+            out.write(iv + AESGCM(self._keys().name_key).encrypt(
+                iv, child_id, _LABEL_DIR_ID + parent_id
+            ))
         try:
             os.rename(staging, entry)
-        except OSError:
+        except OSError as exc:
             shutil.rmtree(staging, ignore_errors=True)
-            if entry.is_dir():
-                child_id = self._read_dirid(entry, parent_id)
-            elif entry.exists():
-                raise NotFound(
-                    f"a file occupies the directory slot at {entry.name!r}"
+            try:
+                return self._read_dirid(entry, parent_id)
+            except NotADirectoryError:
+                raise TargetNotEmpty(
+                    f"a file occupies the directory slot at {os.path.basename(entry)!r}"
                 ) from None
-            else:
-                raise
-        self._shard_dir(child_id).mkdir(parents=True, exist_ok=True)
+            except FileNotFoundError:
+                raise exc from None
         return child_id
 
     @staticmethod
-    def _drop_dir_entry(entry: Path) -> None:
-        """Remove a subdirectory entry (not the directory's shard)."""
-        (entry / DIRID_NAME).unlink(missing_ok=True)
-        entry.rmdir()
+    def _drop_dir_entry(entry: str) -> None:
+        """Remove a subdirectory entry (not the directory's shard). The entry
+        is first renamed to a .tmp- sibling, so a crash at any later step
+        leaves only a name that listing and sync skip."""
+        doomed = _temp_sibling(entry)
+        os.rename(entry, doomed)
+        os.unlink(os.path.join(doomed, DIRID_NAME))
+        os.rmdir(doomed)
 
-    def _entry(self, parts: list[str], create: bool = False) -> tuple[bytes, Path]:
+    def _entry(self, parts: list[str], create: bool = False) -> tuple[bytes, str]:
         """(parent dir id, physical entry) of a non-root path; `create` makes parents."""
-        dir_id, phys = self._resolve_dir(parts[:-1], create=create)
-        return dir_id, phys / self._encrypt_name(dir_id, parts[-1])
+        dir_id, shard = self._resolve_dir(parts[:-1], create=create)
+        return dir_id, os.path.join(
+            shard, modes.encrypt_filename(self._keys().name_key, dir_id, parts[-1]))
 
     def map_path(self, logical_path: str) -> Path:
         """Physical location of a logical path (pure function of the keys)."""
         parts = _split_path(logical_path)
-        if not parts:
-            return self._resolve_dir([])[1]
-        return self._entry(parts)[1]
+        return Path(self._entry(parts)[1] if parts else self._resolve_dir([])[1])
 
     def exists(self, logical_path: str) -> bool:
         try:
@@ -573,9 +586,9 @@ class VaultHandle:
         parts = _split_path(logical_path)
         if not parts:
             raise InvalidName("cannot write to the vault root")
-        with self._write_lock("/".join(parts)):
+        with self._write_locks[hash("/".join(parts)) % _WRITE_LOCK_STRIPES]:
             _, target = self._entry(parts, create=True)
-            if target.is_dir():
+            if os.path.isdir(target):
                 raise InvalidName(f"{parts[-1]!r} is a directory")
             file_id = os.urandom(16)
             file_key = os.urandom(32)
@@ -593,10 +606,10 @@ class VaultHandle:
         parts = _split_path(logical_path)
         if not parts:
             raise NotFound("the vault root is not a file")
-        _, target = self._entry(parts)
-        if not target.is_file():
-            raise NotFound(f"no such file: {logical_path!r}")
-        fh = open(target, "rb", buffering=0)
+        try:
+            fh = open(self._entry(parts)[1], "rb", buffering=0)
+        except (FileNotFoundError, IsADirectoryError):
+            raise NotFound(f"no such file: {logical_path!r}") from None
         try:
             file_id, file_key = self._parse_header(fh.read(FILE_HEADER_SIZE))
             try:
@@ -691,9 +704,11 @@ class VaultHandle:
         parts = _split_path(logical_path)
         dir_id, phys = self._resolve_dir(parts)
         entries: list[DirEntry] = []
-        if not phys.is_dir():  # empty directory on a freshly pulled replica
+        try:
+            items = list(os.scandir(phys))
+        except FileNotFoundError:  # empty directory on a freshly pulled replica
             return entries
-        for item in os.scandir(phys):
+        for item in items:
             if item.name.startswith(TEMP_PREFIX):
                 continue
             try:
@@ -721,19 +736,26 @@ class VaultHandle:
         if not parts:
             raise InvalidName("cannot remove the vault root")
         dir_id, target = self._entry(parts)
-        if target.is_file():
-            target.unlink()
+        try:
+            os.unlink(target)
             return
-        if target.is_dir():
+        except FileNotFoundError:
+            raise NotFound(f"no such entry: {logical_path!r}") from None
+        except IsADirectoryError:
+            pass
+        try:
             child_id = self._read_dirid(target, dir_id)
-            shard = self._shard_dir(child_id)
-            if shard.exists() and any(os.scandir(shard)):
-                raise DirectoryNotEmpty(f"directory not empty: {logical_path!r}")
-            if shard.exists():
-                shard.rmdir()
-            self._drop_dir_entry(target)
-            return
-        raise NotFound(f"no such entry: {logical_path!r}")
+        except FileNotFoundError:
+            raise NotFound(f"no such entry: {logical_path!r}") from None
+        try:
+            os.rmdir(_shard_path(self.root, self._keys().name_key, child_id))
+        except FileNotFoundError:
+            pass  # never materialized, as on a freshly pulled replica
+        except OSError as exc:
+            if exc.errno == errno.ENOTEMPTY:
+                raise DirectoryNotEmpty(f"directory not empty: {logical_path!r}") from None
+            raise
+        self._drop_dir_entry(target)
 
     def rename_file(self, src_path: str, dst_path: str) -> None:
         """Re-encrypt an entry's name; file content objects are untouched
@@ -744,20 +766,20 @@ class VaultHandle:
         if not src_parts or not dst_parts:
             raise InvalidName("cannot rename the vault root")
         src_dir_id, src = self._entry(src_parts)
-        if not src.exists():
-            raise NotFound(f"no such entry: {src_path!r}")
-        is_dir = src.is_dir()
-        if is_dir and dst_parts[:len(src_parts)] == src_parts:
+        try:
+            child_id = self._read_dirid(src, src_dir_id)
+        except NotADirectoryError:  # a file
+            _, dst = self._entry(dst_parts)
+            try:
+                os.rename(src, dst)
+            except IsADirectoryError:
+                raise TargetNotEmpty(f"destination is a directory: {dst_path!r}") from None
+            return
+        except FileNotFoundError:
+            raise NotFound(f"no such entry: {src_path!r}") from None
+        if dst_parts[:len(src_parts)] == src_parts:
             raise InvalidName(f"cannot move {src_path!r} into itself")
         dst_dir_id, dst = self._entry(dst_parts)
-        if not is_dir:
-            if dst.is_dir():
-                raise TargetNotEmpty(f"destination is a directory: {dst_path!r}")
-            os.rename(src, dst)
-            return
-        if dst.exists():
-            raise TargetNotEmpty(f"destination exists: {dst_path!r}")
-        child_id = self._read_dirid(src, src_dir_id)
         if self._create_dir_entry(dst, dst_dir_id, child_id) != child_id:
             raise TargetNotEmpty(f"destination exists: {dst_path!r}")
         self._drop_dir_entry(src)
@@ -844,8 +866,7 @@ def create_vault(
     with atomic_write(root / CONFIG_NAME) as out:
         out.write(config.to_bytes())
     # materialize the root directory's physical shard
-    shard = _hmac256(master.name_key, ROOT_DIR_ID).hex()
-    (root / DATA_DIR / shard[:2] / shard[2:32]).mkdir(parents=True)
+    os.makedirs(_shard_path(root, master.name_key, ROOT_DIR_ID))
     return config
 
 

@@ -159,6 +159,14 @@ class TestLocalDirStore:
         assert store.get_object("d/k")[0] == b"old"
         assert [p.name for p in (tmp_path / "d").iterdir()] == ["k"]
 
+    def test_list_skips_temp_components_at_any_depth(self, tmp_path):
+        store = sync.LocalDirStore(tmp_path / "s")
+        store.put_object("d/ab/obj", b"kept")
+        for rel in (f"d/ab/{vault.TEMP_PREFIX}1", f"d/{vault.TEMP_PREFIX}2/dirid.sc"):
+            (store.root / rel).parent.mkdir(parents=True, exist_ok=True)
+            (store.root / rel).write_bytes(b"leftover")
+        assert [k for k, _, _ in store.list("")] == ["d/ab/obj"]
+
     def test_key_escape_rejected(self, tmp_path):
         store = sync.LocalDirStore(tmp_path / "r")
         with pytest.raises(ValueError):
@@ -341,6 +349,29 @@ class TestSync:
         mirror.write_file("emptydir/new.bin", b"fresh")
         assert mirror.read_file("emptydir/new.bin") == b"fresh"
         mirror.lock()
+
+    def test_crashed_staging_directory_not_pushed(self, tmp_path, monkeypatch):
+        root, handle = _fresh_vault(tmp_path)
+        handle.write_file("kept.bin", b"data")
+
+        def crash(src, dst):
+            raise RuntimeError("simulated crash before the staged entry is renamed")
+
+        monkeypatch.setattr(os, "rename", crash)
+        with pytest.raises(RuntimeError):
+            handle.make_dir("newdir")
+        monkeypatch.undo()
+        handle.lock()
+        assert [p for p in root.rglob(vault.TEMP_PREFIX + "*") if p.is_dir()]
+        store = sync.LocalDirStore(tmp_path / "remote")
+        first = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        remote_files = [p.relative_to(store.root).as_posix()
+                        for p in store.root.rglob("*") if p.is_file()]
+        assert sorted(first.pushed) == sorted(remote_files)
+        assert len(remote_files) == 2  # vault.cfg and kept.bin
+        assert not [k for k in remote_files if vault.TEMP_PREFIX in k]
+        second = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        assert not second.pushed and not second.pulled and not second.conflicts
 
     def test_malicious_remote_key_rejected(self, tmp_path):
         root = tmp_path / "r"; root.mkdir()

@@ -6,6 +6,8 @@ import io
 import os
 import random
 import threading
+import time
+from pathlib import Path
 
 import pytest
 
@@ -286,6 +288,41 @@ class TestReadWrite:
             t.join()
         assert not errors
         assert len(handle.list_dir("t")) == 8
+
+    def test_concurrent_writers_same_path_serialize(self, make_vault, monkeypatch):
+        handle = make_vault(modes.ModeId.V1)
+        versions = [bytes([i]) * 70_000 for i in range(8)]
+        guard = threading.Lock()
+        inside, peak, errors = [0], [0], []
+        real_cipher = modes.block_cipher
+
+        def slow_cipher(*args):  # runs inside write_file's critical section
+            with guard:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            time.sleep(0.005)
+            with guard:
+                inside[0] -= 1
+            return real_cipher(*args)
+
+        def work(i):
+            try:
+                handle.write_file("t/same.bin", versions[i])
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        monkeypatch.setattr(modes, "block_cipher", slow_cipher)
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        monkeypatch.undo()
+        assert not errors
+        assert peak[0] == 1
+        assert handle.read_file("t/same.bin") in versions
+        target = handle.map_path("t/same.bin")
+        assert [p.name for p in target.parent.iterdir()] == [target.name]
 
 
 BOUNDARY_SIZES = [0, 1, 32767, 32768, 32769, 3 * 32768 + 5]
@@ -765,6 +802,78 @@ class TestDirectoryRename:
             assert handle.read_file(f"{name}/sub/g") == b"nested"
         handle.write_file("dst/h", b"new")  # one directory behind both names
         assert handle.read_file("src/h") == b"new"
+
+
+class TestDirectoryRemoval:
+    @pytest.mark.parametrize("step", ["unlink", "rmdir"])
+    def test_crash_leaves_only_a_skipped_name(self, make_vault, monkeypatch, step):
+        handle = make_vault(modes.ModeId.SEALED)
+        handle.write_file("p/keep.txt", b"kept")
+        handle.make_dir("p/gone")
+        real = getattr(os, step)
+
+        def crash(path, *args, **kwargs):
+            if any(part.startswith(vault.TEMP_PREFIX) for part in Path(path).parts):
+                raise RuntimeError(f"simulated crash at the {step} of a removal")
+            return real(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, step, crash)
+        with pytest.raises(RuntimeError):
+            handle.remove_file("p/gone")
+        monkeypatch.undo()
+        assert [e.name for e in handle.list_dir("p")] == ["keep.txt"]
+        assert list(handle.walk("/")) == [("", ["p"], []), ("p", [], ["keep.txt"])]
+        handle.make_dir("p/gone")
+        handle.write_file("p/gone/new.txt", b"new")
+        assert handle.read_file("p/gone/new.txt") == b"new"
+        assert handle.read_file("p/keep.txt") == b"kept"
+
+    def test_removed_entry_leaves_nothing(self, make_vault):
+        handle = make_vault(modes.ModeId.V1)
+        handle.make_dir("p/gone")
+        handle.write_file("p/keep.txt", b"kept")
+        shard = handle.map_path("p/keep.txt").parent
+        handle.remove_file("p/gone")
+        assert [p.name for p in shard.iterdir()] == [handle.map_path("p/keep.txt").name]
+        with pytest.raises(NotFound):
+            handle.remove_file("p/gone")
+
+
+class TestResolverErrors:
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_entry_without_dirid_is_not_found(self, make_vault, mode):
+        handle = make_vault(mode)
+        handle.write_file("a/f.txt", b"inner")
+        handle.write_file("b.txt", b"outer")
+        os.unlink(handle.map_path("a") / vault.DIRID_NAME)
+        calls = [
+            lambda: handle.read_file("a/f.txt"),
+            lambda: handle.read_range("a/f.txt", 0, 1),
+            lambda: handle.list_dir("a"),
+            lambda: handle.map_path("a/f.txt"),
+            lambda: list(handle.walk("/")),
+            lambda: handle.remove_file("a"),
+            lambda: handle.rename_file("a", "c"),
+        ]
+        for call in calls:
+            with pytest.raises(NotFound):
+                call()
+        assert not handle.exists("a/f.txt")
+        assert handle.read_file("b.txt") == b"outer"
+
+    def test_file_and_directory_mismatches(self, make_vault):
+        handle = make_vault(modes.ModeId.V1)
+        handle.write_file("f", b"file")
+        handle.make_dir("d")
+        for call in (lambda: handle.read_file("f/x"), lambda: handle.list_dir("f"),
+                     lambda: handle.read_file("d")):
+            with pytest.raises(NotFound):
+                call()
+        for src, dst in (("d", "f"), ("f", "d")):
+            with pytest.raises(TargetNotEmpty):
+                handle.rename_file(src, dst)
+        assert handle.read_file("f") == b"file"
+        assert [e.name for e in handle.list_dir("/")] == ["d", "f"]
 
 
 class TestAtomicWrite:
