@@ -14,29 +14,47 @@ comparison:
                            is pushed, or its deletion is applied remotely
 
 so no sync outcome discards a remote version without first materializing a
-conflict object. Sync is idempotent: with no changes on either side, a run
-performs zero transfers.
+conflict object. Every remote write and delete that replaces a version
+sync has seen is conditioned on that version, so a remote change that lands
+after the listing turns into a conflict, not a loss. Sync is idempotent:
+with no changes on either side, a run performs zero transfers.
+
+A run costs what changed, not the vault size. One os.scandir walk lists
+each side (`_scan`), and a file is hashed only when its (size, mtime_ns,
+ctime_ns, inode) differs from the stat it had when its digest was last taken
+(`_cached_digest`). A stat is kept only if its mtime and ctime are both
+older than a stamp read from the filesystem's own clock before the walk
+(git's racy-clean rule), so a same-size rewrite within one timestamp granule
+is hashed again rather than hidden behind an equal stat. The local cache
+rides in the SyncState and is saved to the `<state name>.stat` sibling after
+each run; LocalDirStore keeps its own in memory. The caches only spare
+hashing and decide nothing: a lost or damaged `.stat` file means rehashing.
 
 Every local write (pulls, conflict copies, the state file, LocalDirStore
 objects) goes through `vault.atomic_write`, whose `.tmp-` names are never
 synced; nothing here fsyncs. The state file uses the vault's record framing.
 
 The HTTP backend speaks plain object semantics: GET/PUT/DELETE on
-<base>/<key>, an opaque version in the ETag header, If-Match for
-preconditioned PUT (412 on mismatch), and listing via GET <base>?prefix=
-returning a JSON array of {key, version, size}.
+<base>/<key>, an opaque version in the ETag header, If-Match for a
+preconditioned PUT or DELETE (412 when the object is at another version, or,
+for a PUT, absent; a DELETE of an absent object succeeds, and a 404 to it
+counts as done), and listing via GET <base>?prefix= returning a JSON array of
+{key, version, size}.
 """
 
 from __future__ import annotations
 
 import fcntl
+import os
 import re
+import stat
 import struct
+import tempfile
 import threading
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 import requests
@@ -53,9 +71,16 @@ from .vault import TEMP_PREFIX, atomic_write, pack_record, unpack_record
 STATE_NAME = "sync.state"
 STATE_MAGIC = b"SST1"
 STATE_VERSION = 1
+STAT_SUFFIX = ".stat"  # the state file's stat-cache sibling
+STAT_MAGIC = b"SSC1"
+STAT_VERSION = 1
+_STAT_ENTRY = struct.Struct("<QqqQ32s")  # size, mtime_ns, ctime_ns, inode, digest
 _EXCLUDED_NAMES = {STATE_NAME, ".lock"}
 
 LEAK_WINDOW = 8  # minimum leaked-substring length the opacity scan detects
+
+# key -> ((size, mtime_ns, ctime_ns, inode), SHA-256 of the content)
+StatCache = dict[str, tuple[tuple[int, int, int, int], bytes]]
 
 
 def _is_temp(key: str) -> bool:
@@ -64,8 +89,78 @@ def _is_temp(key: str) -> bool:
     return "/" + TEMP_PREFIX in "/" + key
 
 
+def _fs_clock(root: str) -> int | None:
+    """The time the filesystem under `root` stamps on a file written now: the
+    mtime of a fresh `.tmp-` file there, which is removed again. None when no
+    file can be made there (a missing root, which scans as empty)."""
+    try:
+        fd, name = tempfile.mkstemp(prefix=TEMP_PREFIX, dir=root)
+    except OSError:
+        return None
+    try:
+        return os.fstat(fd).st_mtime_ns
+    finally:
+        os.close(fd)
+        os.unlink(name)
+
+
+def _scan(root: str) -> dict[str, tuple[str, os.stat_result]]:
+    """key -> (path, stat) of every regular file under `root`, in one
+    os.scandir walk that skips `.tmp-` components; a missing root is empty."""
+    files = {}
+    pending = [(root, "")]
+    while pending:
+        top, prefix = pending.pop()
+        try:
+            with os.scandir(top) as it:
+                entries = list(it)
+        except FileNotFoundError:
+            continue
+        for entry in entries:
+            if _is_temp(entry.name):
+                continue
+            if entry.is_dir(follow_symlinks=False):
+                pending.append((entry.path, f"{prefix}{entry.name}/"))
+            elif entry.is_file():
+                files[prefix + entry.name] = (entry.path, entry.stat())
+    return files
+
+
+def _cached_digest(cache: StatCache, key: str, path: str, st: os.stat_result,
+                   clock: int | None, hash_file: Callable[[str], bytes]) -> bytes:
+    """The digest of `key`'s content: the cached one while its stat is
+    unchanged, else `hash_file(path)`. The new stat is cached only if its
+    mtime and ctime are both older than `clock`, a filesystem time read
+    before `st` was: any later write moves the ctime to `clock` or past it,
+    so it cannot leave the stat equal."""
+    sig = (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+    hit = cache.get(key)
+    if hit is not None and hit[0] == sig:
+        return hit[1]
+    digest = hash_file(path)
+    if clock is not None and st.st_mtime_ns < clock and st.st_ctime_ns < clock:
+        cache[key] = (sig, digest)
+    else:
+        cache.pop(key, None)  # racy: the next run hashes it again
+    return digest
+
+
+def _digest_file(path: str) -> bytes:
+    h = sha256()
+    with open(path, "rb") as f:
+        for chunk in iter(lambda: f.read(1 << 20), b""):
+            h.update(chunk)
+    return h.digest()
+
+
+def _read_digest(path: str) -> bytes:
+    return sha256(Path(path).read_bytes()).digest()
+
+
 class RemoteStore:
-    """Abstract object store: opaque versions, comparable for equality only."""
+    """Abstract object store: opaque versions, comparable for equality only.
+    A preconditioned put or delete raises PreconditionFailed unless the
+    object is at that version; a delete of an absent object succeeds."""
 
     def put_object(self, key: str, data: bytes, precondition_version: str | None = None) -> str:
         raise NotImplementedError
@@ -76,17 +171,21 @@ class RemoteStore:
     def list(self, prefix: str = "") -> list[tuple[str, str, int]]:
         raise NotImplementedError
 
-    def delete(self, key: str) -> None:
+    def delete(self, key: str, precondition_version: str | None = None) -> None:
         raise NotImplementedError
 
 
 class LocalDirStore(RemoteStore):
-    """Directory-backed store; versions are content digests."""
+    """Directory-backed store; versions are content digests. Each object's
+    digest is kept in memory while its stat is unchanged (`_cached_digest`),
+    so listings and precondition checks hash only what changed."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
+        self._digests: StatCache = {}
+        self._clock: int | None = None  # read before the last listing's stats
 
     def _path(self, key: str) -> Path:
         p = (self.root / key).resolve()
@@ -95,45 +194,58 @@ class LocalDirStore(RemoteStore):
         return p
 
     @staticmethod
-    def _version_of(data: bytes) -> str:
-        return sha256(data).hexdigest()[:32]
+    def _version_of(digest: bytes) -> str:
+        return digest.hex()[:32]
+
+    def _version(self, key: str, path: str | Path, st: os.stat_result) -> str:
+        return self._version_of(
+            _cached_digest(self._digests, key, path, st, self._clock, _read_digest))
+
+    def _require(self, key: str, path: Path, expected: str, absent_ok: bool) -> None:
+        """Raise PreconditionFailed unless the object at `path` is at version
+        `expected` (or absent, if `absent_ok`); the caller holds the lock."""
+        try:
+            st = os.stat(path)
+        except (FileNotFoundError, NotADirectoryError):
+            st = None
+        have = self._version(key, path, st) if st and stat.S_ISREG(st.st_mode) else None
+        if have != expected and not (absent_ok and have is None):
+            raise PreconditionFailed(f"{key!r}: remote version is {have}, expected {expected}")
 
     def put_object(self, key: str, data: bytes, precondition_version: str | None = None) -> str:
         path = self._path(key)
         with self._lock:
             if precondition_version is not None:
-                current = path.read_bytes() if path.is_file() else None
-                have = self._version_of(current) if current is not None else None
-                if have != precondition_version:
-                    raise PreconditionFailed(
-                        f"{key!r}: remote version is {have}, expected {precondition_version}"
-                    )
+                self._require(key, path, precondition_version, absent_ok=False)
             path.parent.mkdir(parents=True, exist_ok=True)
             with atomic_write(path) as out:
                 out.write(data)
-        return self._version_of(data)
+            self._digests.pop(key, None)
+        return self._version_of(sha256(data).digest())
 
     def get_object(self, key: str) -> tuple[bytes, str]:
         path = self._path(key)
         if not path.is_file():
             raise NotFound(f"no such object: {key!r}")
         data = path.read_bytes()
-        return data, self._version_of(data)
+        return data, self._version_of(sha256(data).digest())
 
     def list(self, prefix: str = "") -> list[tuple[str, str, int]]:
-        out = []
-        for path in sorted(self.root.rglob("*")):
-            if not path.is_file():
-                continue
-            key = path.relative_to(self.root).as_posix()
-            if _is_temp(key) or not key.startswith(prefix):
-                continue
-            data = path.read_bytes()
-            out.append((key, self._version_of(data), len(data)))
-        return out
+        root = str(self.root)
+        with self._lock:
+            self._clock = _fs_clock(root)
+            files = _scan(root)
+            self._digests = {k: v for k, v in self._digests.items() if k in files}
+            return [(key, self._version(key, path, st), st.st_size)
+                    for key, (path, st) in sorted(files.items()) if key.startswith(prefix)]
 
-    def delete(self, key: str) -> None:
-        self._path(key).unlink(missing_ok=True)
+    def delete(self, key: str, precondition_version: str | None = None) -> None:
+        path = self._path(key)
+        with self._lock:
+            if precondition_version is not None:
+                self._require(key, path, precondition_version, absent_ok=True)
+            path.unlink(missing_ok=True)
+            self._digests.pop(key, None)
 
 
 class HttpStore(RemoteStore):
@@ -155,13 +267,16 @@ class HttpStore(RemoteStore):
         except requests.RequestException as exc:
             raise StoreUnreachable(f"{method} {url}: {exc}") from None
 
-    def put_object(self, key: str, data: bytes, precondition_version: str | None = None) -> str:
-        headers = {}
-        if precondition_version is not None:
-            headers["If-Match"] = precondition_version
-        resp = self._request("PUT", self._url(key), data=data, headers=headers)
+    def _conditional(self, method: str, key: str, precondition_version: str | None,
+                     **kwargs) -> requests.Response:
+        headers = {} if precondition_version is None else {"If-Match": precondition_version}
+        resp = self._request(method, self._url(key), headers=headers, **kwargs)
         if resp.status_code == 412:
             raise PreconditionFailed(f"{key!r}: remote version moved")
+        return resp
+
+    def put_object(self, key: str, data: bytes, precondition_version: str | None = None) -> str:
+        resp = self._conditional("PUT", key, precondition_version, data=data)
         if resp.status_code not in (200, 201, 204):
             raise StoreUnreachable(f"PUT {key!r} -> HTTP {resp.status_code}")
         return resp.headers.get("ETag", "").strip('"')
@@ -184,21 +299,28 @@ class HttpStore(RemoteStore):
         except (ValueError, KeyError, TypeError) as exc:
             raise StoreUnreachable(f"bad listing response: {exc}") from None
 
-    def delete(self, key: str) -> None:
-        resp = self._request("DELETE", self._url(key))
+    def delete(self, key: str, precondition_version: str | None = None) -> None:
+        resp = self._conditional("DELETE", key, precondition_version)
         if resp.status_code not in (200, 204, 404):
             raise StoreUnreachable(f"DELETE {key!r} -> HTTP {resp.status_code}")
 
 
 class SyncState:
     """Per-key (last-synced version, local content digest), persisted as a
-    versioned length-prefixed binary record beside the vault."""
+    versioned length-prefixed binary record beside the vault. It also holds
+    the local side's stat cache (`stat_cache`), which `sync` saves to the
+    `<state name>.stat` sibling after each run."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self.entries: dict[str, tuple[str, bytes]] = {}
         if self.path.is_file():
             self._load(self.path.read_bytes())
+        self.stat_cache: StatCache = _load_stat_cache(self.stat_path)
+
+    @property
+    def stat_path(self) -> Path:
+        return self.path.with_name(self.path.name + STAT_SUFFIX)
 
     def _load(self, raw: bytes) -> None:
         count, body = unpack_record(raw, STATE_MAGIC, STATE_VERSION, StateCorrupt)
@@ -227,6 +349,31 @@ class SyncState:
         with atomic_write(self.path) as out:
             out.write(pack_record(STATE_MAGIC, STATE_VERSION, len(self.entries), body))
 
+    def save_stat_cache(self) -> None:
+        body = bytearray()
+        for key, (sig, digest) in sorted(self.stat_cache.items()):
+            kb = key.encode("utf-8")
+            body += struct.pack("<I", len(kb)) + kb + _STAT_ENTRY.pack(*sig, digest)
+        with atomic_write(self.stat_path) as out:
+            out.write(pack_record(STAT_MAGIC, STAT_VERSION, len(self.stat_cache), body))
+
+
+def _load_stat_cache(path: Path) -> StatCache:
+    """The stat cache saved at `path`; empty when it is missing or damaged,
+    since the cache only spares hashing."""
+    cache: StatCache = {}
+    try:
+        count, body = unpack_record(path.read_bytes(), STAT_MAGIC, STAT_VERSION, StateCorrupt)
+        off = 0
+        for _ in range(count):
+            (klen,) = struct.unpack_from("<I", body, off); off += 4
+            key = body[off:off + klen].decode("utf-8"); off += klen
+            *sig, digest = _STAT_ENTRY.unpack_from(body, off); off += _STAT_ENTRY.size
+            cache[key] = (tuple(sig), digest)
+    except (OSError, StateCorrupt, struct.error, UnicodeDecodeError):
+        return {}
+    return cache if off == len(body) else {}
+
 
 @dataclass
 class SyncReport:
@@ -241,23 +388,15 @@ class SyncReport:
         )
 
 
-def _local_files(root: Path) -> dict[str, Path]:
-    out: dict[str, Path] = {}
-    for path in root.rglob("*"):
-        if not path.is_file() or path.name in _EXCLUDED_NAMES or path.name.endswith(".lock"):
-            continue
-        key = path.relative_to(root).as_posix()
-        if not _is_temp(key):
-            out[key] = path
+def _local_files(root: str) -> dict[str, tuple[str, os.stat_result]]:
+    """`_scan` of the vault root without the state file and its lock and
+    stat-cache siblings, which the CLI keeps inside the root."""
+    out = {}
+    for key, found in _scan(root).items():
+        name = key.rpartition("/")[2]
+        if name not in _EXCLUDED_NAMES and not name.endswith((".lock", STAT_SUFFIX)):
+            out[key] = found
     return out
-
-
-def _digest_file(path: Path) -> bytes:
-    h = sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.digest()
 
 
 def _sanitize_version(version: str) -> str:
@@ -270,7 +409,7 @@ def sync(root: str | Path, store: RemoteStore, state: SyncState) -> SyncReport:
 
     One run at a time per state file (an exclusive lock guards it); partial
     progress is preserved: the state file is saved even when a transfer
-    raises (StoreUnreachable is retryable).
+    raises (StoreUnreachable is retryable), and then the stat cache.
     """
     state.path.parent.mkdir(parents=True, exist_ok=True)
     lock_path = state.path.with_name(state.path.name + ".lock")
@@ -284,12 +423,15 @@ def sync(root: str | Path, store: RemoteStore, state: SyncState) -> SyncReport:
 
 def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport:
     report = SyncReport()
-    local = _local_files(root)
-    local_digests = {key: _digest_file(path) for key, path in local.items()}
+    clock = _fs_clock(str(root))  # read before any stat, see _cached_digest
+    local = _local_files(str(root))
+    cache = state.stat_cache = {k: v for k, v in state.stat_cache.items() if k in local}
+    local_digests = {key: _cached_digest(cache, key, path, st, clock, _digest_file)
+                     for key, (path, st) in local.items()}
     remote = {key: ver for key, ver, _size in store.list("")}
 
     def push(key: str, precondition: str | None) -> None:
-        data = local[key].read_bytes()
+        data = Path(local[key][0]).read_bytes()
         try:
             version = store.put_object(key, data, precondition_version=precondition)
         except PreconditionFailed:
@@ -297,6 +439,15 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
             conflict(key)
             return
         state.entries[key] = (version, local_digests[key])
+        report.pushed.append(key)
+
+    def delete(key: str, precondition: str) -> None:
+        try:
+            store.delete(key, precondition_version=precondition)
+        except PreconditionFailed:
+            conflict(key)  # changed remotely after the listing
+            return
+        state.entries.pop(key, None)
         report.pushed.append(key)
 
     def local_target(key: str) -> Path:
@@ -322,12 +473,15 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
             return
         conflict_key = f"{key}.conflict-{_sanitize_version(remote_version)}"
         store_local(conflict_key, data, store.put_object(conflict_key, data))
-        # the local side wins the original key; the remote copy is kept above
+        # the local side wins the original key, unless it moved again since
+        # it was read just above; the remote copy is kept either way
         if local_digest is None:
-            store.delete(key)
+            store.delete(key, precondition_version=remote_version)
             state.entries.pop(key, None)
         else:
-            state.entries[key] = (store.put_object(key, local[key].read_bytes()), local_digest)
+            data = Path(local[key][0]).read_bytes()
+            version = store.put_object(key, data, precondition_version=remote_version)
+            state.entries[key] = (version, local_digest)
         report.conflicts.append(key)
 
     try:
@@ -342,10 +496,7 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
                 continue
             if local_changed and not remote_changed:
                 if local_digest is None:
-                    if remote_version is not None:
-                        store.delete(key)
-                        report.pushed.append(key)
-                    state.entries.pop(key, None)
+                    delete(key, precondition=last_version)
                 else:
                     push(key, precondition=last_version)
             elif remote_changed and not local_changed:
@@ -365,6 +516,7 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
                     conflict(key)
     finally:
         state.save()
+        state.save_stat_cache()
     return report
 
 

@@ -41,7 +41,8 @@ directly), `pack_record`/`unpack_record` frame vault.cfg and sync.state, and
 Each namespace step asks the filesystem one question, on plain str paths: a
 path level is resolved by opening its entry's dirid.sc (a missing entry, or
 a file in the way, is NotFound), a read opens the object, and a directory
-removal lets rmdir of its shard decide whether it is empty. A directory is
+removal lets rmdir of its shard decide whether it is empty (`.tmp-` crash
+leftovers alone do not keep it from being empty). A directory is
 created by renaming a staged .tmp- entry into place, removed by renaming its
 entry to a .tmp- name before deleting it, and renamed by staging the new
 entry before removing the old one. So a crash at any step leaves at worst a
@@ -123,6 +124,29 @@ _RECORD_HEADER = struct.Struct("<4sII")  # magic, version, count; SHA-256 traile
 
 def _temp_sibling(path: str | os.PathLike) -> str:
     return os.path.join(os.path.dirname(path), TEMP_PREFIX + os.urandom(8).hex())
+
+
+def _rmdir_shard(shard: str) -> None:
+    """rmdir a directory's shard. `.tmp-` names are crash leftovers, not
+    content: if only they keep the shard from being empty, remove them and
+    try once more. A child operation still in flight loses its `.tmp-` name
+    and fails; a real entry that lands meanwhile keeps ENOTEMPTY."""
+    try:
+        os.rmdir(shard)
+    except OSError as exc:
+        if exc.errno != errno.ENOTEMPTY:
+            raise
+        with os.scandir(shard) as it:
+            leftovers = list(it)
+        if not all(e.name.startswith(TEMP_PREFIX) for e in leftovers):
+            raise
+        for e in leftovers:
+            if e.is_dir(follow_symlinks=False):
+                shutil.rmtree(e.path, ignore_errors=True)
+            else:
+                with suppress(FileNotFoundError):
+                    os.unlink(e.path)
+        os.rmdir(shard)
 
 
 @contextmanager
@@ -748,7 +772,7 @@ class VaultHandle:
         except FileNotFoundError:
             raise NotFound(f"no such entry: {logical_path!r}") from None
         try:
-            os.rmdir(_shard_path(self.root, self._keys().name_key, child_id))
+            _rmdir_shard(_shard_path(self.root, self._keys().name_key, child_id))
         except FileNotFoundError:
             pass  # never materialized, as on a freshly pulled replica
         except OSError as exc:

@@ -3,10 +3,13 @@
 import json
 import os
 import random
+import shutil
 import struct
 import threading
+import time
 from hashlib import sha256
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 from urllib.parse import parse_qs, unquote, urlsplit
 
 import pytest
@@ -95,7 +98,15 @@ class _Handler(BaseHTTPRequestHandler):
     def do_DELETE(self):
         if not self._authorized():
             return self._deny()
-        self.server.objects.pop(self._key(), None)
+        key = self._key()
+        expected = self.headers.get("If-Match")
+        current = self.server.objects.get(key)
+        if expected is not None and current is not None \
+                and self._version(current) != expected.strip('"'):
+            self.send_response(412)
+            self.end_headers()
+            return
+        self.server.objects.pop(key, None)
         self.send_response(204)
         self.end_headers()
 
@@ -167,6 +178,27 @@ class TestLocalDirStore:
             (store.root / rel).write_bytes(b"leftover")
         assert [k for k, _, _ in store.list("")] == ["d/ab/obj"]
 
+    def test_conditional_delete(self, tmp_path):
+        store = sync.LocalDirStore(tmp_path / "r")
+        old = store.put_object("k", b"one")
+        new = store.put_object("k", b"two")
+        with pytest.raises(PreconditionFailed):
+            store.delete("k", precondition_version=old)
+        assert store.get_object("k") == (b"two", new)
+        store.delete("k", precondition_version=new)
+        assert store.list("") == []
+        store.delete("k", precondition_version=new)  # already gone: nothing to lose
+
+    def test_precondition_sees_same_size_rewrite(self, tmp_path):
+        store = sync.LocalDirStore(tmp_path / "r")
+        version = store.put_object("k", b"one")
+        _settle(store.root)
+        assert store.list("") == [("k", version, 3)]  # caches the object's stat
+        _rewrite_in_place(store.root / "k", b"two")
+        with pytest.raises(PreconditionFailed):
+            store.delete("k", precondition_version=version)
+        assert store.get_object("k")[0] == b"two"
+
     def test_key_escape_rejected(self, tmp_path):
         store = sync.LocalDirStore(tmp_path / "r")
         with pytest.raises(ValueError):
@@ -191,6 +223,17 @@ class TestHttpStore:
         store.put_object("k", b"two", precondition_version=v)
         with pytest.raises(PreconditionFailed):
             store.put_object("k", b"three", precondition_version=v)
+
+    def test_if_match_delete(self, http_server):
+        store = sync.HttpStore(_url(http_server))
+        old = store.put_object("k", b"one")
+        new = store.put_object("k", b"two")
+        with pytest.raises(PreconditionFailed):
+            store.delete("k", precondition_version=old)
+        assert store.get_object("k") == (b"two", new)
+        store.delete("k", precondition_version=new)
+        assert store.list("") == []
+        store.delete("k", precondition_version=new)
 
     def test_bearer_token(self, http_server):
         http_server.token = "sekrit-token"
@@ -525,6 +568,236 @@ class TestSync:
         report = sync.sync(root, inner, carried)
         assert len(report.pushed) == 2
         assert len(inner.list("")) == 4
+
+
+    @pytest.mark.parametrize("backend", ["local", "http"])
+    def test_remote_update_between_list_and_delete_survives(self, tmp_path, request, backend):
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"common base")
+        if backend == "local":
+            store = sync.LocalDirStore(tmp_path / "remote")
+        else:
+            store = sync.HttpStore(_url(request.getfixturevalue("http_server")))
+        sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        (root / "obj").unlink()
+        listed = store.list
+
+        def list_then_update(prefix=""):
+            listing = listed(prefix)
+            store.put_object("obj", b"remote edit after the listing")
+            return listing
+
+        store.list = list_then_update
+        report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        del store.list
+        assert report.conflicts == ["obj"] and not report.pushed
+        remote = {key: store.get_object(key)[0] for key, _, _ in store.list("")}
+        assert b"remote edit after the listing" in remote.values()
+        again = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        assert not again.pushed and not again.pulled and not again.conflicts
+
+
+# -- the stat cache -------------------------------------------------------------
+
+def _settle(*roots):
+    """Wait until the filesystem clock under each root has passed every
+    file's ctime there (a write sets it, so it is never before the mtime
+    unless an mtime was set ahead), so the next run may cache their stats."""
+    newest = max((st.st_ctime_ns for r in roots for _path, st in sync._scan(str(r)).values()),
+                 default=0)
+    deadline = time.monotonic() + 10
+    while min(sync._fs_clock(str(r)) for r in roots) <= newest:
+        assert time.monotonic() < deadline, "the filesystem clock did not move"
+        time.sleep(0.005)
+
+
+def _rewrite_in_place(path, data):
+    """Overwrite a file with same-size bytes in place and put its old mtime
+    back, so only the ctime tells the change."""
+    before = os.stat(path)
+    assert len(data) == before.st_size
+    with open(path, "r+b") as f:
+        f.write(data)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = os.stat(path)
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == \
+        (before.st_size, before.st_mtime_ns, before.st_ino)
+
+
+@pytest.fixture
+def hashed(monkeypatch):
+    """Bytes hashed through `sync.sha256`, the name the benchmark counts at."""
+    real = sync.sha256
+    counter = {"bytes": 0}
+
+    class CountingSha256:
+        def __init__(self, data=b""):
+            self._h = real()
+            self.update(data)
+
+        def update(self, data):
+            counter["bytes"] += len(data)
+            self._h.update(data)
+
+        def digest(self):
+            return self._h.digest()
+
+        def hexdigest(self):
+            return self._h.hexdigest()
+
+    monkeypatch.setattr(sync, "sha256", CountingSha256)
+    return counter
+
+
+def _outcome(report):
+    return sorted(report.pushed), sorted(report.pulled), sorted(report.conflicts)
+
+
+class TestStatCache:
+    def test_same_size_rewrite_with_restored_mtime_is_pushed(self, tmp_path):
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"version one")
+        store = sync.LocalDirStore(tmp_path / "remote")
+        state = sync.SyncState(root / sync.STATE_NAME)
+        _settle(root)
+        sync.sync(root, store, state)
+        assert "obj" in state.stat_cache  # the next run trusts this stat
+        _rewrite_in_place(root / "obj", b"version two")
+        report = sync.sync(root, store, state)
+        assert report.pushed == ["obj"]
+        assert store.get_object("obj")[0] == b"version two"
+
+    def test_future_mtime_is_hashed_every_run(self, tmp_path, hashed):
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"x" * 5000)
+        (root / "plain").write_bytes(b"y" * 100)
+        os.utime(root / "obj", ns=(time.time_ns(), time.time_ns() + 3600 * 10**9))
+        store = sync.LocalDirStore(tmp_path / "remote")
+        state = sync.SyncState(root / sync.STATE_NAME)
+        sync.sync(root, store, state)
+        _settle(root, store.root)
+        sync.sync(root, store, state)  # caches every stat it can
+        for _ in range(2):
+            hashed["bytes"] = 0
+            report = sync.sync(root, store, state)
+            assert not report.pushed and not report.pulled
+            assert hashed["bytes"] == 5000 and "obj" not in state.stat_cache
+
+    def test_settled_noop_hashes_nothing(self, tmp_path, hashed):
+        root, handle = _fresh_vault(tmp_path)
+        for i in range(5):
+            handle.write_file(f"d{i % 2}/f{i}.bin", os.urandom(3000 * (i + 1)))
+        handle.lock()
+        store = sync.LocalDirStore(tmp_path / "remote")
+        state = sync.SyncState(root / sync.STATE_NAME)
+        sync.sync(root, store, state)
+        _settle(root, store.root)
+        sync.sync(root, store, state)  # hashes the objects the push wrote
+        hashed["bytes"] = 0
+        report = sync.sync(root, store, state)
+        assert str(report) == "pushed=0 pulled=0 conflicts=0"
+        assert hashed["bytes"] == 0
+        # a new process reads the local cache back from the .stat file
+        report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        assert str(report) == "pushed=0 pulled=0 conflicts=0"
+        assert hashed["bytes"] == 0
+
+    @pytest.mark.parametrize("damage", ["deleted", "flipped", "truncated", "foreign"])
+    def test_damaged_stat_file_gives_same_decisions(self, tmp_path, damage):
+        outcomes = []
+        for side in ("intact", damage):
+            base = tmp_path / side
+            root = base / "r"; root.mkdir(parents=True)
+            for i in range(4):
+                (root / f"f{i}").write_bytes(bytes([i]) * 200)
+            store = sync.LocalDirStore(base / "remote")
+            sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+            _settle(root, store.root)
+            sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+            _rewrite_in_place(root / "f0", b"\xee" * 200)
+            (root / "f1").unlink()
+            (root / "f4").write_bytes(b"new")
+            store.put_object("f2", b"remote edit")
+            stat_file = root / (sync.STATE_NAME + sync.STAT_SUFFIX)
+            raw = stat_file.read_bytes()
+            if side == "deleted":
+                stat_file.unlink()
+            elif side == "flipped":
+                stat_file.write_bytes(raw[:20] + bytes([raw[20] ^ 1]) + raw[21:])
+            elif side == "truncated":
+                stat_file.write_bytes(raw[:len(raw) // 2])
+            elif side == "foreign":
+                stat_file.write_bytes((root / sync.STATE_NAME).read_bytes())
+            state = sync.SyncState(root / sync.STATE_NAME)
+            assert bool(state.stat_cache) == (side == "intact")
+            report = sync.sync(root, store, state)
+            remote = {k: store.get_object(k)[0] for k, _, _ in store.list("")}
+            outcomes.append((_outcome(report), remote))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][0] == (["f0", "f1", "f4"], ["f2"], [])
+
+    def test_stat_file_never_pushed(self, tmp_path):
+        root, handle = _fresh_vault(tmp_path)
+        handle.write_file("x", b"data")
+        handle.lock()
+        store = sync.LocalDirStore(tmp_path / "remote")
+        for _ in range(2):
+            sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+            assert (root / (sync.STATE_NAME + sync.STAT_SUFFIX)).is_file()
+            keys = [k for k, _, _ in store.list("")]
+            assert keys and not [k for k in keys if k.startswith(sync.STATE_NAME)]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_warm_and_cold_runs_decide_alike(self, tmp_path, seed):
+        """After random edits on both sides, a run with warm caches and a run
+        on a copy with none (fresh SyncState without .stat, fresh store)
+        make the same decisions and leave the same bytes."""
+        rng = random.Random(seed)
+        world = tmp_path / "warm"
+        root, remote_dir, state_path = world / "r", world / "remote", world / "s.state"
+        root.mkdir(parents=True)
+        store, state = sync.LocalDirStore(remote_dir), sync.SyncState(state_path)
+        keys = [f"d{i % 3}/k{i}" for i in range(10)]
+        for key in keys[:6]:
+            (root / key).parent.mkdir(parents=True, exist_ok=True)
+            (root / key).write_bytes(rng.randbytes(rng.randrange(1, 600)))
+        sync.sync(root, store, state)
+
+        def edit(base):
+            key = rng.choice(keys)
+            path = base / key
+            if not path.exists():
+                path.parent.mkdir(parents=True, exist_ok=True)
+                path.write_bytes(rng.randbytes(rng.randrange(1, 600)))
+            elif rng.random() < 0.25:
+                path.unlink()
+            elif rng.random() < 0.6:
+                _rewrite_in_place(path, rng.randbytes(path.stat().st_size))
+            else:
+                path.write_bytes(rng.randbytes(rng.randrange(1, 600)))
+
+        for round_ in range(6):
+            if round_ % 2:
+                _settle(root, remote_dir)  # let the caches hold stats to be fooled
+            for _ in range(rng.randrange(1, 5)):
+                edit(root)
+            for _ in range(rng.randrange(1, 4)):
+                edit(remote_dir)
+            cold = tmp_path / f"cold{round_}"
+            shutil.copytree(root, cold / "r")
+            shutil.copytree(remote_dir, cold / "remote")
+            shutil.copy(state_path, cold / "s.state")
+            (cold / "r" / ("s.state" + sync.STAT_SUFFIX)).unlink(missing_ok=True)
+            cold_store = sync.LocalDirStore(cold / "remote")
+            warm = sync.sync(root, store, state)
+            chill = sync.sync(cold / "r", cold_store, sync.SyncState(cold / "s.state"))
+            assert _outcome(warm) == _outcome(chill)
+            for a, b in ((root, cold / "r"), (remote_dir, cold / "remote")):
+                files_a, files_b = sync._scan(str(a)), sync._scan(str(b))
+                assert files_a.keys() == files_b.keys()
+                assert all(Path(p).read_bytes() == Path(files_b[k][0]).read_bytes()
+                           for k, (p, _st) in files_a.items())
+            assert state.entries == sync.SyncState(cold / "s.state").entries
 
 
 class TestOpacity:

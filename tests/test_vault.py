@@ -838,6 +838,53 @@ class TestDirectoryRemoval:
         with pytest.raises(NotFound):
             handle.remove_file("p/gone")
 
+    @staticmethod
+    def _leave_temp_leftover(handle, monkeypatch, leftover):
+        """Leave a `.tmp-` name in p's shard, as a crashed child operation does."""
+        if leftover == "entry":  # a directory removal cut off at its unlink
+            handle.make_dir("p/gone")
+            real = os.unlink
+
+            def crash(path, *args, **kwargs):
+                if any(part.startswith(vault.TEMP_PREFIX) for part in Path(path).parts):
+                    raise RuntimeError("simulated crash at the unlink")
+                return real(path, *args, **kwargs)
+
+            monkeypatch.setattr(os, "unlink", crash)
+            with pytest.raises(RuntimeError):
+                handle.remove_file("p/gone")
+            monkeypatch.undo()
+            shard = handle.map_path("p/any").parent
+        else:  # a killed write: its temp file, which no cleanup ran for
+            handle.make_dir("p")
+            shard = handle.map_path("p/any").parent
+            shard.mkdir(parents=True, exist_ok=True)
+            (shard / f"{vault.TEMP_PREFIX}0123abcd").write_bytes(b"partial object")
+        assert [p.name[:len(vault.TEMP_PREFIX)] for p in shard.iterdir()] == [vault.TEMP_PREFIX]
+        return shard
+
+    @pytest.mark.parametrize("leftover", ["entry", "file"])
+    def test_temp_leftover_does_not_block_parent_removal(self, make_vault, monkeypatch, leftover):
+        handle = make_vault(modes.ModeId.V1)
+        shard = self._leave_temp_leftover(handle, monkeypatch, leftover)
+        assert handle.list_dir("p") == []
+        handle.remove_file("p")
+        assert not shard.exists()
+        assert handle.list_dir("/") == []
+        handle.write_file("p/again.txt", b"again")
+        assert handle.read_file("p/again.txt") == b"again"
+
+    @pytest.mark.parametrize("leftover", ["entry", "file"])
+    def test_real_child_beside_leftover_keeps_directory(self, make_vault, monkeypatch, leftover):
+        handle = make_vault(modes.ModeId.V1)
+        shard = self._leave_temp_leftover(handle, monkeypatch, leftover)
+        handle.write_file("p/real.txt", b"real")
+        with pytest.raises(DirectoryNotEmpty):
+            handle.remove_file("p")
+        assert [e.name for e in handle.list_dir("p")] == ["real.txt"]
+        assert handle.read_file("p/real.txt") == b"real"
+        assert any(p.name.startswith(vault.TEMP_PREFIX) for p in shard.iterdir())
+
 
 class TestResolverErrors:
     @pytest.mark.parametrize("mode", ALL_MODES)
