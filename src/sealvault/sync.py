@@ -464,9 +464,18 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
         state.entries[key] = (version, sha256(data).digest())
 
     def conflict(key: str) -> None:
-        """Both sides changed the key, and it still exists remotely."""
-        data, remote_version = store.get_object(key)
+        """Both sides changed the key. If the remote object is gone (deleted
+        after the listing), the local side is restored as a remote delete is
+        restored, or the entry is dropped when the key is deleted locally."""
         local_digest = local_digests.get(key)  # None: deleted locally
+        try:
+            data, remote_version = store.get_object(key)
+        except NotFound:
+            if local_digest is None:
+                state.entries.pop(key, None)
+            else:
+                push(key, precondition=None)
+            return
         if sha256(data).digest() == local_digest:
             # both sides hold identical bytes: nothing to reconcile
             state.entries[key] = (remote_version, local_digest)

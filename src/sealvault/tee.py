@@ -78,6 +78,10 @@ _REPORT_LABEL = b"REPORTv1"
 _PLATFORM_DOMAIN = b"SVPLATFORMv1"
 REPORT_DATA_SIZE = 64
 
+# Platform keys whose keyed CMAC `_platform_cmac` keeps; emptied at the cap.
+_PLATFORM_CMAC_CACHE = 16
+_platform_cmacs: dict[bytes, CMAC] = {}
+
 
 class SealingPolicy(enum.IntEnum):
     """What identity a sealed blob is bound to."""
@@ -278,6 +282,20 @@ def _cmac(key: bytes, message: bytes) -> bytes:
     return c.finalize()
 
 
+def _platform_cmac(platform_key: bytes, message: bytes) -> bytes:
+    """`_cmac` under a platform root secret. Keying the cipher is most of a
+    short CMAC's cost, so each platform key is keyed once and its context
+    copied per call; the cache is emptied when it reaches its cap."""
+    keyed = _platform_cmacs.get(platform_key)
+    if keyed is None:
+        if len(_platform_cmacs) >= _PLATFORM_CMAC_CACHE:
+            _platform_cmacs.clear()
+        keyed = _platform_cmacs[platform_key] = CMAC(algorithms.AES(platform_key))
+    c = keyed.copy()
+    c.update(message)
+    return c.finalize()
+
+
 def create_platform(seed: bytes) -> PlatformIdentity:
     """Derive a deterministic test platform from a 32-byte seed.
 
@@ -348,7 +366,7 @@ def derive_sealing_key(
         + cpu_svn_request
         + _identity_field(enclave, policy)
     )
-    return _cmac(platform.platform_key, message)
+    return _platform_cmac(platform.platform_key, message)
 
 
 def seal_into(
@@ -460,7 +478,7 @@ def unseal(
 
 
 def _report_key(platform: PlatformIdentity, target: EnclaveIdentity) -> bytes:
-    return _cmac(platform.platform_key, _REPORT_LABEL + target.measurement)
+    return _platform_cmac(platform.platform_key, _REPORT_LABEL + target.measurement)
 
 
 def create_report(

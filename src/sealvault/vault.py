@@ -49,6 +49,17 @@ entry before removing the old one. So a crash at any step leaves at worst a
 .tmp- name, which listing and sync skip at any depth, or two names for one
 directory. Writes to one logical path serialize on one of a handle's
 _WRITE_LOCK_STRIPES locks, which unrelated paths may share.
+
+A handle memoizes lookups by (parent dir id, name): the physical entry,
+which is a pure function of the keys (shard HMAC joined with the AES-SIV
+name), and for a directory the last dirid.sc bytes that authenticated with
+the id they decrypted to. Every level still reads its dirid.sc, and the
+memoized id is reused only when the bytes just read equal the memoized
+bytes; otherwise the level authenticates them and replaces the entry. So a
+rename, removal, re-creation, sync pull, second handle or tampering shows at
+the very next lookup, and nothing needs invalidating. The memo is emptied
+when it reaches _LOOKUP_MEMO_SIZE entries and by lock(); it is touched only
+by single dict get, set and clear calls, so readers share it without a lock.
 """
 
 from __future__ import annotations
@@ -97,6 +108,8 @@ TEMP_PREFIX = ".tmp-"
 BATCH_BLOCKS = 32
 # Write locks per handle; a path's writes serialize on lock hash(path) % this.
 _WRITE_LOCK_STRIPES = 64
+# Lookup memo entries per handle; the memo is emptied when it reaches this.
+_LOOKUP_MEMO_SIZE = 4096
 
 CONFIG_MAGIC = b"SVC1"
 CONFIG_VERSION = 1
@@ -118,6 +131,7 @@ _WRAPPED = 1
 _SEALED = 2
 
 _SEALED_KEY_SIZE = tee.HEADER_SIZE + 32  # sealed blob carrying a 32-byte key
+_DIRID_SIZE = 12 + 16 + 16  # AES-GCM nonce, the 16-byte id, tag
 
 _RECORD_HEADER = struct.Struct("<4sII")  # magic, version, count; SHA-256 trailer
 
@@ -333,6 +347,18 @@ def _shard_path(root: str | os.PathLike, name_key: bytes, dir_id: bytes) -> str:
     return os.path.join(root, DATA_DIR, digest[:2], digest[2:32])
 
 
+def _read_dirid(path: str) -> bytes:
+    """The raw dirid object at `path`, inside a subdirectory entry (up to one
+    byte more than its size, so an oversized one shows). The open is the
+    only probe: FileNotFoundError means no entry (or one without its dirid
+    object), NotADirectoryError means a file holds the name."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        return os.read(fd, _DIRID_SIZE + 1)
+    finally:
+        os.close(fd)
+
+
 def _file_key_label(file_id: bytes) -> bytes:
     return _LABEL_FILE_KEY + file_id
 
@@ -414,6 +440,8 @@ class VaultHandle:
         self._master: modes.MasterKeys | None = master
         self._session = session
         self._write_locks = tuple(threading.Lock() for _ in range(_WRITE_LOCK_STRIPES))
+        # (parent dir id, name) -> (entry, its dirid path, dirid bytes, dir id)
+        self._memo: dict[tuple[bytes, str], tuple] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -430,6 +458,7 @@ class VaultHandle:
                 pass
             self._session = None
         self._master = None
+        self._memo.clear()
 
     def __enter__(self) -> "VaultHandle":
         return self
@@ -449,65 +478,82 @@ class VaultHandle:
 
     # -- path resolution ----------------------------------------------------
 
-    def _read_dirid(self, entry: str, parent_id: bytes) -> bytes:
-        """The directory id stored in a subdirectory entry. The open is the
-        only probe: FileNotFoundError means no entry (or one without its
-        dirid object), NotADirectoryError means a file holds the name."""
-        with open(os.path.join(entry, DIRID_NAME), "rb") as fh:
-            raw = fh.read()
-        if len(raw) != 44:
+    def _remember(self, key: tuple[bytes, str], value: tuple) -> None:
+        if len(self._memo) >= _LOOKUP_MEMO_SIZE:
+            self._memo.clear()
+        self._memo[key] = value
+
+    def _lookup(self, name_key: bytes, dir_id: bytes, name: str) -> tuple:
+        """Memo entry of `name` in directory `dir_id`: (physical entry, the
+        path of its dirid object, the last dirid bytes that authenticated,
+        the id they decrypt to). A new entry has only its paths."""
+        hit = self._memo.get((dir_id, name))
+        if hit is None:
+            entry = os.path.join(_shard_path(self.root, name_key, dir_id),
+                                 modes.encrypt_filename(name_key, dir_id, name))
+            hit = (entry, os.path.join(entry, DIRID_NAME), None, None)
+            self._remember((dir_id, name), hit)
+        return hit
+
+    def _dir_id(self, parent_id: bytes, name: str) -> bytes:
+        """The id of directory `name` in `parent_id`, from its dirid object,
+        read on every call (errors as `_read_dirid`). Bytes equal to those
+        memoized reuse their id; others are authenticated and memoized."""
+        name_key = self._keys().name_key
+        entry, dirid, seen, known = self._lookup(name_key, parent_id, name)
+        raw = _read_dirid(dirid)
+        if raw == seen:
+            return known
+        if len(raw) != _DIRID_SIZE:
             raise MalformedBlock("directory id object has wrong size")
         try:
-            return AESGCM(self._keys().name_key).decrypt(
-                raw[:12], raw[12:], _LABEL_DIR_ID + parent_id
-            )
+            child_id = AESGCM(name_key).decrypt(raw[:12], raw[12:], _LABEL_DIR_ID + parent_id)
         except InvalidTag:
             raise AuthenticationFailure("directory id failed authentication") from None
+        self._remember((parent_id, name), (entry, dirid, raw, child_id))
+        return child_id
 
-    def _resolve_dir(self, parts: list[str], create: bool = False) -> tuple[bytes, str]:
-        """Walk directory components to (dir_id, physical shard path)."""
-        name_key = self._keys().name_key
+    def _resolve_dir(self, parts: list[str], create: bool = False) -> bytes:
+        """Walk directory components to the last one's dir id; `create`
+        makes missing ones."""
         dir_id = ROOT_DIR_ID
         for comp in parts:
-            entry = os.path.join(_shard_path(self.root, name_key, dir_id),
-                                 modes.encrypt_filename(name_key, dir_id, comp))
             try:
-                dir_id = self._read_dirid(entry, dir_id)
+                dir_id = self._dir_id(dir_id, comp)
             except NotADirectoryError:
                 raise NotFound(f"{comp!r} is a file, not a directory") from None
             except FileNotFoundError:
                 if not create:
                     raise NotFound(f"no such directory: {comp!r}") from None
-                dir_id = self._create_dir_entry(entry, dir_id, os.urandom(16))
-        shard = _shard_path(self.root, name_key, dir_id)
-        if create:
-            # a synced replica may lack shard dirs for empty directories
-            os.makedirs(shard, exist_ok=True)
-        return dir_id, shard
+                dir_id = self._create_dir_entry(dir_id, comp, os.urandom(16))
+        return dir_id
 
-    def _create_dir_entry(self, entry: str, parent_id: bytes, child_id: bytes) -> bytes:
-        """Create an entry for directory `child_id` atomically: stage it with
-        its dirid object (bound to `parent_id`), rename it into place, and
-        defer to a concurrent winner, whose id is then returned instead."""
+    def _create_dir_entry(self, parent_id: bytes, name: str, child_id: bytes) -> bytes:
+        """Create entry `name` in `parent_id` for directory `child_id`
+        atomically: stage it with its dirid object (bound to `parent_id`),
+        rename it into place, and defer to a concurrent winner, whose id is
+        then returned instead."""
+        name_key = self._keys().name_key
+        entry, dirid = self._lookup(name_key, parent_id, name)[:2]
         staging = _temp_sibling(entry)
         os.makedirs(staging)
         iv = os.urandom(12)
+        raw = iv + AESGCM(name_key).encrypt(iv, child_id, _LABEL_DIR_ID + parent_id)
         with open(os.path.join(staging, DIRID_NAME), "wb") as out:
-            out.write(iv + AESGCM(self._keys().name_key).encrypt(
-                iv, child_id, _LABEL_DIR_ID + parent_id
-            ))
+            out.write(raw)
         try:
             os.rename(staging, entry)
         except OSError as exc:
             shutil.rmtree(staging, ignore_errors=True)
             try:
-                return self._read_dirid(entry, parent_id)
+                return self._dir_id(parent_id, name)
             except NotADirectoryError:
                 raise TargetNotEmpty(
                     f"a file occupies the directory slot at {os.path.basename(entry)!r}"
                 ) from None
             except FileNotFoundError:
                 raise exc from None
+        self._remember((parent_id, name), (entry, dirid, raw, child_id))
         return child_id
 
     @staticmethod
@@ -520,16 +566,22 @@ class VaultHandle:
         os.unlink(os.path.join(doomed, DIRID_NAME))
         os.rmdir(doomed)
 
+    def _shard(self, dir_id: bytes) -> str:
+        return _shard_path(self.root, self._keys().name_key, dir_id)
+
     def _entry(self, parts: list[str], create: bool = False) -> tuple[bytes, str]:
         """(parent dir id, physical entry) of a non-root path; `create` makes parents."""
-        dir_id, shard = self._resolve_dir(parts[:-1], create=create)
-        return dir_id, os.path.join(
-            shard, modes.encrypt_filename(self._keys().name_key, dir_id, parts[-1]))
+        dir_id = self._resolve_dir(parts[:-1], create=create)
+        entry = self._lookup(self._keys().name_key, dir_id, parts[-1])[0]
+        if create:
+            # a synced replica may lack shard dirs for empty directories
+            os.makedirs(os.path.dirname(entry), exist_ok=True)
+        return dir_id, entry
 
     def map_path(self, logical_path: str) -> Path:
         """Physical location of a logical path (pure function of the keys)."""
         parts = _split_path(logical_path)
-        return Path(self._entry(parts)[1] if parts else self._resolve_dir([])[1])
+        return Path(self._entry(parts)[1] if parts else self._shard(ROOT_DIR_ID))
 
     def exists(self, logical_path: str) -> bool:
         try:
@@ -542,7 +594,7 @@ class VaultHandle:
         parts = _split_path(logical_path)
         if not parts:
             return
-        self._resolve_dir(parts, create=True)
+        os.makedirs(self._shard(self._resolve_dir(parts, create=True)), exist_ok=True)
 
     # -- file objects --------------------------------------------------------
 
@@ -726,10 +778,10 @@ class VaultHandle:
         """List a directory. Sizes come from the ciphertext size law alone;
         entries whose names do not decrypt are surfaced as 'unreadable'."""
         parts = _split_path(logical_path)
-        dir_id, phys = self._resolve_dir(parts)
+        dir_id = self._resolve_dir(parts)
         entries: list[DirEntry] = []
         try:
-            items = list(os.scandir(phys))
+            items = list(os.scandir(self._shard(dir_id)))
         except FileNotFoundError:  # empty directory on a freshly pulled replica
             return entries
         for item in items:
@@ -768,11 +820,11 @@ class VaultHandle:
         except IsADirectoryError:
             pass
         try:
-            child_id = self._read_dirid(target, dir_id)
+            child_id = self._dir_id(dir_id, parts[-1])
         except FileNotFoundError:
             raise NotFound(f"no such entry: {logical_path!r}") from None
         try:
-            _rmdir_shard(_shard_path(self.root, self._keys().name_key, child_id))
+            _rmdir_shard(self._shard(child_id))
         except FileNotFoundError:
             pass  # never materialized, as on a freshly pulled replica
         except OSError as exc:
@@ -791,7 +843,7 @@ class VaultHandle:
             raise InvalidName("cannot rename the vault root")
         src_dir_id, src = self._entry(src_parts)
         try:
-            child_id = self._read_dirid(src, src_dir_id)
+            child_id = self._dir_id(src_dir_id, src_parts[-1])
         except NotADirectoryError:  # a file
             _, dst = self._entry(dst_parts)
             try:
@@ -803,8 +855,8 @@ class VaultHandle:
             raise NotFound(f"no such entry: {src_path!r}") from None
         if dst_parts[:len(src_parts)] == src_parts:
             raise InvalidName(f"cannot move {src_path!r} into itself")
-        dst_dir_id, dst = self._entry(dst_parts)
-        if self._create_dir_entry(dst, dst_dir_id, child_id) != child_id:
+        dst_dir_id = self._resolve_dir(dst_parts[:-1])
+        if self._create_dir_entry(dst_dir_id, dst_parts[-1], child_id) != child_id:
             raise TargetNotEmpty(f"destination exists: {dst_path!r}")
         self._drop_dir_entry(src)
 

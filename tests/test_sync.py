@@ -596,6 +596,44 @@ class TestSync:
         again = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
         assert not again.pushed and not again.pulled and not again.conflicts
 
+    @pytest.mark.parametrize("backend", ["local", "http"])
+    @pytest.mark.parametrize("case", ["local edit", "edit on both sides", "local delete"])
+    def test_remote_delete_after_listing(self, tmp_path, request, backend, case):
+        """The key is deleted remotely between the listing and the transfer:
+        a local edit goes back to the remote, a local delete drops the key."""
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"common base")
+        if backend == "local":
+            store = sync.LocalDirStore(tmp_path / "remote")
+        else:
+            store = sync.HttpStore(_url(request.getfixturevalue("http_server")))
+        sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        if case != "local edit":
+            store.put_object("obj", b"remote edit")
+        if case == "local delete":
+            (root / "obj").unlink()
+        else:
+            (root / "obj").write_bytes(b"local edit, longer than the base")
+        listed = store.list
+
+        def list_then_delete(prefix=""):
+            listing = listed(prefix)
+            store.delete("obj")
+            return listing
+
+        store.list = list_then_delete
+        report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        del store.list
+        assert not report.conflicts
+        state = sync.SyncState(root / sync.STATE_NAME)
+        if case == "local delete":
+            assert store.list("") == [] and "obj" not in state.entries
+        else:
+            assert report.pushed == ["obj"]
+            assert store.get_object("obj")[0] == b"local edit, longer than the base"
+        again = sync.sync(root, store, state)
+        assert not again.pushed and not again.pulled and not again.conflicts
+
 
 # -- the stat cache -------------------------------------------------------------
 

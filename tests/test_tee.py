@@ -122,6 +122,20 @@ class TestDeriveSealingKey:
         )
         assert key == oracles.aes_cmac(platform.platform_key, message)
 
+    def test_keyed_cmac_cache_matches_oracle(self, enclave, monkeypatch):
+        """Each platform's CMAC is keyed once and copied per call; across
+        more platforms than the cache holds, every key still matches."""
+        monkeypatch.setattr(tee, "_PLATFORM_CMAC_CACHE", 3)
+        monkeypatch.setattr(tee, "_platform_cmacs", {})
+        platforms = [tee.create_platform(bytes([i]) * 32) for i in range(8)]
+        for key_id in (b"\x05" * 32, b"\x06" * 32):
+            for plat in platforms + platforms[::-1]:
+                key = tee.derive_sealing_key(plat, enclave, MRENCLAVE, key_id, 1, plat.cpu_svn)
+                message = (b"SEALKEYv1" + struct.pack("<H", 1) + key_id
+                           + struct.pack("<H", 1) + plat.cpu_svn + enclave.measurement)
+                assert key == oracles.aes_cmac(plat.platform_key, message)
+                assert len(tee._platform_cmacs) <= 3
+
     def test_svn_gate(self, platform, enclave):
         with pytest.raises(SvnViolation):
             tee.derive_sealing_key(

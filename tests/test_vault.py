@@ -5,6 +5,7 @@ import hashlib
 import io
 import os
 import random
+import sys
 import threading
 import time
 from pathlib import Path
@@ -29,7 +30,7 @@ from sealvault.errors import (
     VaultLocked,
     WrongPassword,
 )
-from conftest import TEST_ITERATIONS
+from conftest import TEST_ITERATIONS, TEST_PASSWORD
 
 ALL_MODES = list(modes.ModeId)
 
@@ -921,6 +922,244 @@ class TestResolverErrors:
                 handle.rename_file(src, dst)
         assert handle.read_file("f") == b"file"
         assert [e.name for e in handle.list_dir("/")] == ["d", "f"]
+
+
+@pytest.fixture
+def reopen(platform):
+    """Factory: another handle on the root of an open handle."""
+    handles = []
+
+    def _reopen(handle):
+        plat = platform if handle.mode is modes.ModeId.SEALED else None
+        other = vault.unlock_vault(handle.root, TEST_PASSWORD, platform=plat)
+        handles.append(other)
+        return other
+
+    yield _reopen
+    for handle in handles:
+        if not handle.is_locked:
+            handle.lock()
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except Exception as exc:
+        return "error", type(exc).__name__
+
+
+class TestLookupMemo:
+    """A handle memoizes each (parent dir id, name) lookup, yet reads every
+    level's dirid object, so changes made elsewhere show at once."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_rename_by_second_handle(self, make_vault, reopen, mode):
+        warm = make_vault(mode)
+        warm.write_file("a/f", b"moved")
+        assert warm.read_file("a/f") == b"moved"
+        reopen(warm).rename_file("a", "b")
+        with pytest.raises(NotFound):
+            warm.read_file("a/f")
+        assert warm.read_file("b/f") == b"moved"
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_remove_and_recreate_by_second_handle(self, make_vault, reopen, mode):
+        warm = make_vault(mode)
+        warm.write_file("a/old", b"old")
+        assert warm.read_file("a/old") == b"old"
+        old_shard = os.path.dirname(warm.map_path("a/old"))
+        other = reopen(warm)
+        other.remove_file("a/old")
+        other.remove_file("a")
+        other.make_dir("a")
+        warm.write_file("a/new", b"new")
+        assert os.path.dirname(warm.map_path("a/new")) != old_shard
+        assert reopen(warm).read_file("a/new") == b"new"
+        assert [e.name for e in reopen(warm).list_dir("a")] == ["new"]
+        with pytest.raises(NotFound):
+            warm.read_file("a/old")
+
+    def test_replica_pull_replaces_dirid(self, tmp_path, make_vault):
+        source = make_vault(modes.ModeId.V1, name="source")
+        source.write_file("a/f", b"first")
+        store = sync.LocalDirStore(tmp_path / "remote")
+        sync.sync(source.root, store, sync.SyncState(source.root / sync.STATE_NAME))
+        replica = tmp_path / "replica"
+        replica.mkdir()
+        sync.sync(replica, store, sync.SyncState(replica / sync.STATE_NAME))
+        warm = vault.unlock_vault(replica, TEST_PASSWORD)
+        assert warm.read_file("a/f") == b"first"
+        dirid = warm.map_path("a") / vault.DIRID_NAME
+        before = dirid.read_bytes()
+        source.remove_file("a/f")
+        source.remove_file("a")
+        source.write_file("a/f", b"second")
+        sync.sync(source.root, store, sync.SyncState(source.root / sync.STATE_NAME))
+        sync.sync(replica, store, sync.SyncState(replica / sync.STATE_NAME))
+        assert dirid.read_bytes() != before
+        assert warm.read_file("a/f") == b"second"
+        warm.lock()
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_tampered_dirid_fails_on_warm_handle(self, make_vault, mode):
+        warm = make_vault(mode)
+        warm.write_file("a/f", b"data")
+        warm.write_file("x/y/g", b"other")
+        assert warm.read_file("a/f") == b"data"
+        dirid = warm.map_path("a") / vault.DIRID_NAME
+        good = dirid.read_bytes()
+        flipped = bytearray(good)
+        flipped[20] ^= 0x01
+        dirid.write_bytes(bytes(flipped))
+        with pytest.raises(AuthenticationFailure):
+            warm.read_file("a/f")
+        # a valid dirid object, but bound to another parent directory
+        dirid.write_bytes((warm.map_path("x/y") / vault.DIRID_NAME).read_bytes())
+        with pytest.raises(AuthenticationFailure):
+            warm.read_file("a/f")
+        dirid.write_bytes(good)
+        assert warm.read_file("a/f") == b"data"
+
+    def test_lock_empties_memo(self, make_vault):
+        handle = make_vault(modes.ModeId.V1)
+        handle.write_file("a/b/f", b"data")
+        assert handle.read_file("a/b/f") == b"data"
+        assert handle._memo
+        handle.lock()
+        assert handle._memo == {}
+        with pytest.raises(VaultLocked):
+            handle.read_file("a/b/f")
+
+    def test_memo_is_bounded(self, make_vault, monkeypatch):
+        monkeypatch.setattr(vault, "_LOOKUP_MEMO_SIZE", 5)
+        handle = make_vault(modes.ModeId.V1)
+        for i in range(12):
+            handle.write_file(f"d{i}/f", bytes([i]))
+        for i in range(12):
+            assert handle.read_file(f"d{i}/f") == bytes([i])
+            assert len(handle._memo) <= 5
+
+    def test_threaded_readers_with_small_cap(self, make_vault, monkeypatch):
+        monkeypatch.setattr(vault, "_LOOKUP_MEMO_SIZE", 3)
+        handle = make_vault(modes.ModeId.V1)
+        paths = {f"p{i % 3}/q{i % 2}/f{i}": os.urandom(64 + i) for i in range(9)}
+        for path, data in paths.items():
+            handle.write_file(path, data)
+        errors = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(150):
+                    path = rng.choice(sorted(paths))
+                    assert handle.read_file(path) == paths[path]
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-lookup
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(handle._memo) <= 3 + len(threads)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_two_handles_agree_with_fresh_handle(self, make_vault, reopen, seed):
+        """Random namespace ops, each on one of two long-lived handles; after
+        each, both answer every read and listing as a fresh handle does."""
+        rng = random.Random(seed)
+        first = make_vault(modes.ModeId.V1)
+        handles = (first, reopen(first))
+        dirs = ["a", "b", "a/a", "a/b", "b/a"]
+        files = [f"{d}/{n}".lstrip("/") for d in ["", *dirs] for n in ("f", "g")]
+        expected = (NotFound, DirectoryNotEmpty, TargetNotEmpty, InvalidName)
+        for step in range(40):
+            actor = rng.choice(handles)
+            op = rng.choice(["write", "write", "remove", "rename", "make_dir"])
+            try:
+                if op == "write":
+                    actor.write_file(rng.choice(files), os.urandom(rng.randrange(1, 80)))
+                elif op == "remove":
+                    actor.remove_file(rng.choice(files + dirs))
+                elif op == "rename":
+                    actor.rename_file(rng.choice(files + dirs), rng.choice(files + dirs))
+                else:
+                    actor.make_dir(rng.choice(dirs))
+            except expected:
+                pass
+            fresh = reopen(first)
+            for path in files:
+                want = _outcome(lambda: fresh.read_file(path))
+                assert [_outcome(lambda: h.read_file(path)) for h in handles] == [want] * 2, \
+                    (step, op, path)
+            for path in ["", *dirs]:
+                want = _outcome(lambda: fresh.list_dir(path))
+                assert [_outcome(lambda: h.list_dir(path)) for h in handles] == [want] * 2, \
+                    (step, op, path)
+            fresh.lock()
+
+
+_opened: list[str] | None = None  # paths opened while a test collects them
+_audit_installed = False
+
+
+def _audit(event, args):
+    if event == "open" and _opened is not None:
+        _opened.append(os.fsdecode(args[0]))
+
+
+class TestLookupCost:
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_warm_depth8_read_encrypts_and_decrypts_no_names(self, make_vault, reopen,
+                                                               monkeypatch, mode):
+        """A warm read at depth 8 encrypts no name and decrypts no dir id,
+        and makes 9 opens: one dirid object per level and the file."""
+        global _opened, _audit_installed
+        if not _audit_installed:
+            sys.addaudithook(_audit)  # hooks cannot be removed; it idles when unused
+            _audit_installed = True
+        handle = make_vault(mode)
+        path = "/".join(f"d{i}" for i in range(8)) + "/f"
+        handle.write_file(path, b"x" * 100)
+        counts = {"encrypt_filename": 0, "dirid_decrypt": 0}
+        encrypt_filename, aesgcm = modes.encrypt_filename, vault.AESGCM
+
+        def counting_encrypt(*args):
+            counts["encrypt_filename"] += 1
+            return encrypt_filename(*args)
+
+        class CountingAESGCM:
+            def __init__(self, key):
+                self._inner = aesgcm(key)
+                self.encrypt = self._inner.encrypt
+
+            def decrypt(self, *args):
+                counts["dirid_decrypt"] += 1
+                return self._inner.decrypt(*args)
+
+        monkeypatch.setattr(modes, "encrypt_filename", counting_encrypt)
+        monkeypatch.setattr(vault, "AESGCM", CountingAESGCM)
+        cold = reopen(handle)
+        assert cold.read_file(path) == b"x" * 100
+        assert counts == {"encrypt_filename": 9, "dirid_decrypt": 8}
+        for warm in (handle, cold):
+            counts.update(encrypt_filename=0, dirid_decrypt=0)
+            _opened = opened = []
+            try:
+                assert warm.read_file(path) == b"x" * 100
+            finally:
+                _opened = None
+            assert counts == {"encrypt_filename": 0, "dirid_decrypt": 0}
+            assert len(opened) == 9
+            assert sum(os.path.basename(p) == vault.DIRID_NAME for p in opened) == 8
+            assert opened[-1] == str(warm.map_path(path))
 
 
 class TestAtomicWrite:
