@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from enum import Enum
 from hashlib import sha256
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -168,11 +169,14 @@ def generate_workload(spec: Workload, staging: str | Path) -> Manifest:
 
 
 class _Target:
-    """One benchmark target namespace: a plain directory or an unlocked vault."""
+    """One benchmark target namespace, a plain directory or an unlocked
+    vault, that stores files from the corpus staged under `corpus`."""
 
-    def __init__(self, mode: BenchMode, base: Path, platform: tee.PlatformIdentity | None):
+    def __init__(self, mode: BenchMode, base: Path, platform: tee.PlatformIdentity | None,
+                 corpus: Path):
         self.mode = mode
         self.base = base
+        self.corpus = corpus
         base.mkdir(parents=True)
         if mode is BenchMode.PLAIN:
             self.handle = None
@@ -187,13 +191,13 @@ class _Target:
             )
             self.handle = vault.unlock_vault(base / "vault", _BENCH_PASSWORD, platform=platform)
 
-    def store(self, rel: str, source: Path) -> None:
+    def store(self, rel: str) -> None:
         if self.handle is None:
             dst = self.base / rel
             dst.parent.mkdir(parents=True, exist_ok=True)
-            shutil.copyfile(source, dst)
+            shutil.copyfile(self.corpus / rel, dst)
         else:
-            with open(source, "rb") as f:
+            with open(self.corpus / rel, "rb") as f:
                 self.handle.write_file(rel, f)
 
     def load(self, rel: str) -> bytes:
@@ -207,25 +211,13 @@ class _Target:
         shutil.rmtree(self.base, ignore_errors=True)
 
 
-def _transfer_in(target: _Target, staging: Path, manifest: Manifest, workers: int) -> float:
+def _timed(fn: Callable[[str], object], entries: list[str], workers: int) -> tuple[float, list]:
+    """Seconds to apply `fn` to every entry on a pool of `workers` threads
+    (one when `workers` < 1), and the results in entry order."""
     started = time.perf_counter()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda e: target.store(e.relpath, staging / e.relpath), manifest.entries))
-    else:
-        for entry in manifest.entries:
-            target.store(entry.relpath, staging / entry.relpath)
-    return time.perf_counter() - started
-
-
-def _timed_read(target: _Target, manifest: Manifest, workers: int) -> tuple[float, list[bytes]]:
-    started = time.perf_counter()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blobs = list(pool.map(lambda e: target.load(e.relpath), manifest.entries))
-    else:
-        blobs = [target.load(entry.relpath) for entry in manifest.entries]
-    return time.perf_counter() - started, blobs
+    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+        results = list(pool.map(fn, entries))
+    return time.perf_counter() - started, results
 
 
 def _verify(mode: BenchMode, manifest: Manifest, blobs: list[bytes]) -> None:
@@ -263,17 +255,19 @@ def run_bench(
         platform = tee.create_platform(os.urandom(32))
     records: list[BenchRecord] = []
     for spec in workloads:
-        manifest = generate_workload(spec, staging / spec.kind.value)
-        corpus_dir = staging / spec.kind.value
+        corpus = staging / spec.kind.value
+        manifest = generate_workload(spec, corpus)
+        relpaths = [entry.relpath for entry in manifest.entries]
         for mode in modes:
             for direction in directions:
                 if direction is Direction.WRITE:
                     for rep in range(repetitions):
                         target = _Target(
-                            mode, workdir / f"{mode.value}-{spec.kind.value}-w{rep}", platform
+                            mode, workdir / f"{mode.value}-{spec.kind.value}-w{rep}", platform,
+                            corpus,
                         )
                         try:
-                            seconds = _transfer_in(target, corpus_dir, manifest, parallel_workers)
+                            seconds, _ = _timed(target.store, relpaths, parallel_workers)
                         finally:
                             target.close()
                         records.append(BenchRecord(
@@ -281,12 +275,12 @@ def run_bench(
                         ))
                 else:
                     target = _Target(
-                        mode, workdir / f"{mode.value}-{spec.kind.value}-r", platform
+                        mode, workdir / f"{mode.value}-{spec.kind.value}-r", platform, corpus
                     )
                     try:
-                        _transfer_in(target, corpus_dir, manifest, parallel_workers)
+                        _timed(target.store, relpaths, parallel_workers)
                         for rep in range(repetitions):
-                            seconds, blobs = _timed_read(target, manifest, parallel_workers)
+                            seconds, blobs = _timed(target.load, relpaths, parallel_workers)
                             _verify(mode, manifest, blobs)
                             del blobs
                             records.append(BenchRecord(

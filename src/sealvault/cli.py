@@ -14,12 +14,9 @@ unseal failure, 4 not found.
 from __future__ import annotations
 
 import argparse
-import fcntl
 import getpass
 import os
 import sys
-from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -51,30 +48,15 @@ EXIT_USAGE = 2
 EXIT_AUTH = 3
 EXIT_NOT_FOUND = 4
 
-_USAGE_ERRORS = (TargetNotEmpty, NameTooLong, InvalidName, MalformedName,
-                 InvalidSpec, EmptyPassword, ValueError)
-_AUTH_ERRORS = (WrongPassword, UnsealFailure, AuthenticationFailure, MissingPlatform)
-
-
-@dataclass
-class CliConfig:
-    vault_root: Path | None
-    platform_seed_file: str | None
-    remote_url: str | None = None
-    remote_token: str | None = None
-    verbose: bool = False
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "CliConfig":
-        return cls(
-            vault_root=Path(args.vault) if getattr(args, "vault", None) else None,
-            platform_seed_file=(
-                getattr(args, "platform_seed_file", None) or os.environ.get(PLATFORM_SEED_ENV)
-            ),
-            remote_url=getattr(args, "remote", None),
-            remote_token=getattr(args, "token", None),
-            verbose=getattr(args, "verbose", False),
-        )
+# The first row whose errors match sets the exit code, so the auth and
+# not-found errors keep theirs although they are VaultErrors.
+_EXIT_CODES = (
+    ((WrongPassword, UnsealFailure, AuthenticationFailure, MissingPlatform), EXIT_AUTH),
+    (NotFound, EXIT_NOT_FOUND),
+    ((TargetNotEmpty, NameTooLong, InvalidName, MalformedName, InvalidSpec,
+      EmptyPassword, ValueError), EXIT_USAGE),
+    ((VaultError, OSError), EXIT_GENERIC),
+)
 
 
 def _read_password(confirm: bool = False) -> str:
@@ -88,15 +70,16 @@ def _read_password(confirm: bool = False) -> str:
     return password
 
 
-def _load_platform(config: CliConfig, required: bool) -> PlatformIdentity | None:
-    if not config.platform_seed_file:
+def _load_platform(args: argparse.Namespace, required: bool) -> PlatformIdentity | None:
+    seed_file = args.platform_seed_file or os.environ.get(PLATFORM_SEED_ENV)
+    if not seed_file:
         if required:
             raise MissingPlatform(
                 "sealed mode needs a platform seed: pass --platform-seed-file "
                 f"or set {PLATFORM_SEED_ENV}"
             )
         return None
-    raw = Path(config.platform_seed_file).read_bytes()
+    raw = Path(seed_file).read_bytes()
     text = raw.decode("ascii", errors="ignore").strip()
     if len(text) == 64:
         try:
@@ -106,72 +89,61 @@ def _load_platform(config: CliConfig, required: bool) -> PlatformIdentity | None
     if len(raw) == 32:
         return create_platform(raw)
     raise ValueError(
-        f"platform seed file {config.platform_seed_file!r} must hold 64 hex "
+        f"platform seed file {seed_file!r} must hold 64 hex "
         "characters or 32 raw bytes"
     )
 
 
-@contextmanager
 def _vault_lock(root: Path):
     """Advisory lock serializing mutating commands on one vault."""
-    lockfile = root / ".lock"
-    with open(lockfile, "a+") as handle:
-        try:
-            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise VaultError(f"another command holds the lock on {root}") from None
-        yield
+    return vault_mod.exclusive_lock(root / ".lock", "another command")
 
 
-def _open_vault(config: CliConfig) -> vault_mod.VaultHandle:
-    cfg = vault_mod.read_config(config.vault_root)
-    platform = _load_platform(config, required=cfg.mode is ModeId.SEALED)
+def _open_vault(args: argparse.Namespace) -> vault_mod.VaultHandle:
+    cfg = vault_mod.read_config(args.vault)
+    platform = _load_platform(args, required=cfg.mode is ModeId.SEALED)
     password = _read_password()
-    return vault_mod.unlock_vault(config.vault_root, password, platform=platform)
+    return vault_mod.unlock_vault(args.vault, password, platform=platform)
 
 
 def cmd_init(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
     mode = ModeId(args.mode)
-    platform = _load_platform(config, required=mode is ModeId.SEALED)
+    platform = _load_platform(args, required=mode is ModeId.SEALED)
     password = _read_password(confirm=sys.stdin.isatty())
     vault_mod.create_vault(
-        config.vault_root, password, mode, platform=platform, iterations=args.iterations
+        args.vault, password, mode, platform=platform, iterations=args.iterations
     )
-    print(f"initialized {mode.value} vault at {config.vault_root}")
+    print(f"initialized {mode.value} vault at {args.vault}")
     return EXIT_OK
 
 
 def cmd_put(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
     src = Path(args.src)
     if not src.is_file():
         raise NotFound(f"no such source file: {src}")
-    with _vault_lock(config.vault_root):
-        with _open_vault(config) as handle:
+    with _vault_lock(args.vault):
+        with _open_vault(args) as handle:
             with open(src, "rb") as stream:
                 stored = handle.write_file(args.vpath, stream)
-    if config.verbose:
+    if args.verbose:
         print(f"stored {stored} bytes at {args.vpath}")
     return EXIT_OK
 
 
 def cmd_get(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
     dst = Path(args.dst)
-    with _open_vault(config) as handle:
+    with _open_vault(args) as handle:
         handle.read_range(args.vpath, 0, 0)  # a missing or bad file fails before dst is touched
         dst.parent.mkdir(parents=True, exist_ok=True)
         with vault_mod.atomic_write(dst) as out:
             written = handle.read_to(args.vpath, out)
-    if config.verbose:
+    if args.verbose:
         print(f"wrote {written} bytes to {dst}")
     return EXIT_OK
 
 
 def cmd_ls(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
-    with _open_vault(config) as handle:
+    with _open_vault(args) as handle:
         entries = handle.list_dir(args.vpath)
     for entry in entries:
         if entry.kind == "dir":
@@ -184,17 +156,15 @@ def cmd_ls(args: argparse.Namespace) -> int:
 
 
 def cmd_rm(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
-    with _vault_lock(config.vault_root):
-        with _open_vault(config) as handle:
+    with _vault_lock(args.vault):
+        with _open_vault(args) as handle:
             handle.remove_file(args.vpath)
     return EXIT_OK
 
 
 def cmd_mv(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
-    with _vault_lock(config.vault_root):
-        with _open_vault(config) as handle:
+    with _vault_lock(args.vault):
+        with _open_vault(args) as handle:
             handle.rename_file(args.src, args.dst)
     return EXIT_OK
 
@@ -206,30 +176,23 @@ def _make_store(url: str, token: str | None) -> sync_mod.RemoteStore:
 
 
 def cmd_sync(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
-    store = _make_store(config.remote_url, config.remote_token)
-    state_path = Path(args.state) if args.state else config.vault_root / sync_mod.STATE_NAME
-    with _vault_lock(config.vault_root):
+    state_path = Path(args.state) if args.state else args.vault / sync_mod.STATE_NAME
+    with _make_store(args.remote, args.token) as store, _vault_lock(args.vault):
         state = sync_mod.SyncState(state_path)
-        report = sync_mod.sync(config.vault_root, store, state)
+        report = sync_mod.sync(args.vault, store, state)
     print(report)
     return EXIT_OK
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
     modes = [bench_mod.BenchMode(m) for m in args.modes.split(",")]
-    kinds = [bench_mod.WorkloadKind(w) for w in args.workload.split(",")]
     directions = [bench_mod.Direction(d) for d in args.directions.split(",")]
-    workloads = []
-    for kind in kinds:
-        if kind is bench_mod.WorkloadKind.SINGLE:
-            workloads.append(bench_mod.Workload(kind, args.bytes, seed=args.seed))
-        else:
-            workloads.append(
-                bench_mod.Workload(kind, args.bytes, file_count=args.tree_files, seed=args.seed)
-            )
-    platform = _load_platform(config, required=False)  # ephemeral if absent
+    workloads = [  # a single-file workload ignores file_count
+        bench_mod.Workload(bench_mod.WorkloadKind(w), args.bytes,
+                           file_count=args.tree_files, seed=args.seed)
+        for w in args.workload.split(",")
+    ]
+    platform = _load_platform(args, required=False)  # ephemeral if absent
     records = bench_mod.run_bench(
         modes,
         workloads,
@@ -247,8 +210,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_dump_config(args: argparse.Namespace) -> int:
-    config = CliConfig.from_args(args)
-    print(vault_mod.describe_config(vault_mod.read_config(config.vault_root)))
+    print(vault_mod.describe_config(vault_mod.read_config(args.vault)))
     return EXIT_OK
 
 
@@ -262,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def vault_arg(p):
-        p.add_argument("--vault", required=True, help="vault root directory")
+        p.add_argument("--vault", type=Path, required=True, help="vault root directory")
         p.add_argument("--platform-seed-file", help="file with the platform seed (sealed mode)")
 
     p = sub.add_parser("init", help="create a new vault (password is prompted)")
@@ -336,21 +298,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _AUTH_ERRORS as exc:
+    except (VaultError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_AUTH
-    except NotFound as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NOT_FOUND
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except VaultError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERIC
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GENERIC
+        return next(code for errors, code in _EXIT_CODES if isinstance(exc, errors))
 
 
 def entrypoint() -> None:

@@ -16,7 +16,8 @@ from .vault import VaultHandle, invert_object_size
 
 
 class _WriteStream(io.BytesIO):
-    """Buffers writes and stores them into the vault on close."""
+    """Buffers writes and stores them into the vault on close; a `with` body
+    that raises discards them, so the old version stays."""
 
     def __init__(self, bridge: "VaultFilesystem", path: str):
         super().__init__()
@@ -27,6 +28,11 @@ class _WriteStream(io.BytesIO):
         if not self.closed:
             self._bridge.handle.write_file(self._path, self.getvalue())
         super().close()
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is not None:
+            super().close()  # drop the buffer without storing it
+        self.close()
 
 
 class VaultFilesystem:

@@ -44,7 +44,6 @@ counts as done), and listing via GET <base>?prefix= returning a JSON array of
 
 from __future__ import annotations
 
-import fcntl
 import os
 import re
 import stat
@@ -64,9 +63,8 @@ from .errors import (
     PreconditionFailed,
     StateCorrupt,
     StoreUnreachable,
-    VaultError,
 )
-from .vault import TEMP_PREFIX, atomic_write, pack_record, unpack_record
+from .vault import TEMP_PREFIX, atomic_write, exclusive_lock, pack_record, unpack_record
 
 STATE_NAME = "sync.state"
 STATE_MAGIC = b"SST1"
@@ -74,7 +72,11 @@ STATE_VERSION = 1
 STAT_SUFFIX = ".stat"  # the state file's stat-cache sibling
 STAT_MAGIC = b"SSC1"
 STAT_VERSION = 1
-_STAT_ENTRY = struct.Struct("<QqqQ32s")  # size, mtime_ns, ctime_ns, inode, digest
+_TEXT_LEN = struct.Struct("<I")
+# The fixed fields after each entry's strings, which are the key and the
+# version in sync.state and the key alone in the stat cache.
+_STATE_TAIL = struct.Struct("32s")  # local digest
+_STAT_TAIL = struct.Struct("<QqqQ32s")  # size, mtime_ns, ctime_ns, inode, digest
 _EXCLUDED_NAMES = {STATE_NAME, ".lock"}
 
 LEAK_WINDOW = 8  # minimum leaked-substring length the opacity scan detects
@@ -87,6 +89,49 @@ def _is_temp(key: str) -> bool:
     """True for a key with a `.tmp-` component at any depth: an atomic-write
     temp file, or a directory entry left staged or half-removed by a crash."""
     return "/" + TEMP_PREFIX in "/" + key
+
+
+def _inside(root: Path, key: str) -> Path:
+    """`root / key` resolved; ValueError if the key leads outside `root`."""
+    path = (root / key).resolve()
+    if not path.is_relative_to(root.resolve()):
+        raise ValueError(f"key escapes {root}: {key!r}")
+    return path
+
+
+def _save_keyed(path: Path, magic: bytes, version: int, rows: Iterable[tuple],
+                texts: int, tail: struct.Struct) -> None:
+    """Write `rows` as one record (`pack_record` framing, the row count as
+    its count) in key order. A row is its key and `texts` - 1 more strings,
+    each written as a u32 length and UTF-8, then the fields `tail` packs."""
+    rows = sorted(rows)
+    body = bytearray()
+    for row in rows:
+        for text in row[:texts]:
+            raw = text.encode("utf-8")
+            body += _TEXT_LEN.pack(len(raw)) + raw
+        body += tail.pack(*row[texts:])
+    with atomic_write(path) as out:
+        out.write(pack_record(magic, version, len(rows), body))
+
+
+def _load_keyed(raw: bytes, magic: bytes, version: int, texts: int,
+                tail: struct.Struct) -> list[tuple]:
+    """The rows of a `_save_keyed` record; any damage raises StateCorrupt."""
+    count, body = unpack_record(raw, magic, version, StateCorrupt)
+    rows, off = [], 0
+    try:
+        for _ in range(count):
+            row = []
+            for _ in range(texts):
+                (n,) = _TEXT_LEN.unpack_from(body, off); off += _TEXT_LEN.size
+                row.append(body[off:off + n].decode("utf-8")); off += n
+            rows.append((*row, *tail.unpack_from(body, off))); off += tail.size
+    except (struct.error, UnicodeDecodeError) as exc:
+        raise StateCorrupt(f"truncated {magic.decode()} record: {exc}") from None
+    if off != len(body):
+        raise StateCorrupt(f"trailing bytes in {magic.decode()} record")
+    return rows
 
 
 def _fs_clock(root: str) -> int | None:
@@ -126,6 +171,12 @@ def _scan(root: str) -> dict[str, tuple[str, os.stat_result]]:
     return files
 
 
+def _sig(st: os.stat_result | None) -> tuple[int, int, int, int] | None:
+    """The stat fields a content change moves: (size, mtime_ns, ctime_ns,
+    inode); None for no file."""
+    return None if st is None else (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+
+
 def _cached_digest(cache: StatCache, key: str, path: str, st: os.stat_result,
                    clock: int | None, hash_file: Callable[[str], bytes]) -> bytes:
     """The digest of `key`'s content: the cached one while its stat is
@@ -133,7 +184,7 @@ def _cached_digest(cache: StatCache, key: str, path: str, st: os.stat_result,
     mtime and ctime are both older than `clock`, a filesystem time read
     before `st` was: any later write moves the ctime to `clock` or past it,
     so it cannot leave the stat equal."""
-    sig = (st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino)
+    sig = _sig(st)
     hit = cache.get(key)
     if hit is not None and hit[0] == sig:
         return hit[1]
@@ -160,7 +211,17 @@ def _read_digest(path: str) -> bytes:
 class RemoteStore:
     """Abstract object store: opaque versions, comparable for equality only.
     A preconditioned put or delete raises PreconditionFailed unless the
-    object is at that version; a delete of an absent object succeeds."""
+    object is at that version; a delete of an absent object succeeds.
+    Used as a context manager, a store is closed when the body ends."""
+
+    def close(self) -> None:
+        """Release what the store holds open; this base holds nothing."""
+
+    def __enter__(self) -> "RemoteStore":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def put_object(self, key: str, data: bytes, precondition_version: str | None = None) -> str:
         raise NotImplementedError
@@ -188,10 +249,7 @@ class LocalDirStore(RemoteStore):
         self._clock: int | None = None  # read before the last listing's stats
 
     def _path(self, key: str) -> Path:
-        p = (self.root / key).resolve()
-        if not p.is_relative_to(self.root.resolve()):
-            raise ValueError(f"key escapes the store root: {key!r}")
-        return p
+        return _inside(self.root, key)
 
     @staticmethod
     def _version_of(digest: bytes) -> str:
@@ -258,6 +316,9 @@ class HttpStore(RemoteStore):
         if token:
             self._session.headers["Authorization"] = f"Bearer {token}"
 
+    def close(self) -> None:
+        self._session.close()
+
     def _url(self, key: str) -> str:
         return f"{self.base_url}/{requests.utils.quote(key, safe='/')}"
 
@@ -315,64 +376,30 @@ class SyncState:
         self.path = Path(path)
         self.entries: dict[str, tuple[str, bytes]] = {}
         if self.path.is_file():
-            self._load(self.path.read_bytes())
-        self.stat_cache: StatCache = _load_stat_cache(self.stat_path)
+            rows = _load_keyed(self.path.read_bytes(), STATE_MAGIC, STATE_VERSION,
+                               2, _STATE_TAIL)
+            self.entries = {key: (ver, digest) for key, ver, digest in rows}
+        self.stat_cache: StatCache = {}
+        try:  # the cache only spares hashing: a missing or damaged one is empty
+            rows = _load_keyed(self.stat_path.read_bytes(), STAT_MAGIC, STAT_VERSION,
+                               1, _STAT_TAIL)
+            self.stat_cache = {key: (tuple(sig), digest) for key, *sig, digest in rows}
+        except (OSError, StateCorrupt):
+            pass
 
     @property
     def stat_path(self) -> Path:
         return self.path.with_name(self.path.name + STAT_SUFFIX)
 
-    def _load(self, raw: bytes) -> None:
-        count, body = unpack_record(raw, STATE_MAGIC, STATE_VERSION, StateCorrupt)
-        off = 0
-        try:
-            for _ in range(count):
-                (klen,) = struct.unpack_from("<I", body, off); off += 4
-                key = body[off:off + klen].decode("utf-8"); off += klen
-                (vlen,) = struct.unpack_from("<I", body, off); off += 4
-                ver = body[off:off + vlen].decode("utf-8"); off += vlen
-                digest = body[off:off + 32]; off += 32
-                self.entries[key] = (ver, digest)
-        except (struct.error, UnicodeDecodeError) as exc:
-            raise StateCorrupt(f"truncated sync state: {exc}") from None
-        if off != len(body):
-            raise StateCorrupt("trailing bytes in sync state")
-
     def save(self) -> None:
-        body = bytearray()
-        for key, (ver, digest) in sorted(self.entries.items()):
-            kb, vb = key.encode("utf-8"), ver.encode("utf-8")
-            body += struct.pack("<I", len(kb)) + kb
-            body += struct.pack("<I", len(vb)) + vb
-            body += digest
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with atomic_write(self.path) as out:
-            out.write(pack_record(STATE_MAGIC, STATE_VERSION, len(self.entries), body))
+        _save_keyed(self.path, STATE_MAGIC, STATE_VERSION,
+                    [(key, *value) for key, value in self.entries.items()], 2, _STATE_TAIL)
 
     def save_stat_cache(self) -> None:
-        body = bytearray()
-        for key, (sig, digest) in sorted(self.stat_cache.items()):
-            kb = key.encode("utf-8")
-            body += struct.pack("<I", len(kb)) + kb + _STAT_ENTRY.pack(*sig, digest)
-        with atomic_write(self.stat_path) as out:
-            out.write(pack_record(STAT_MAGIC, STAT_VERSION, len(self.stat_cache), body))
-
-
-def _load_stat_cache(path: Path) -> StatCache:
-    """The stat cache saved at `path`; empty when it is missing or damaged,
-    since the cache only spares hashing."""
-    cache: StatCache = {}
-    try:
-        count, body = unpack_record(path.read_bytes(), STAT_MAGIC, STAT_VERSION, StateCorrupt)
-        off = 0
-        for _ in range(count):
-            (klen,) = struct.unpack_from("<I", body, off); off += 4
-            key = body[off:off + klen].decode("utf-8"); off += klen
-            *sig, digest = _STAT_ENTRY.unpack_from(body, off); off += _STAT_ENTRY.size
-            cache[key] = (tuple(sig), digest)
-    except (OSError, StateCorrupt, struct.error, UnicodeDecodeError):
-        return {}
-    return cache if off == len(body) else {}
+        _save_keyed(self.stat_path, STAT_MAGIC, STAT_VERSION,
+                    [(key, *sig, digest) for key, (sig, digest) in self.stat_cache.items()],
+                    1, _STAT_TAIL)
 
 
 @dataclass
@@ -412,12 +439,7 @@ def sync(root: str | Path, store: RemoteStore, state: SyncState) -> SyncReport:
     raises (StoreUnreachable is retryable), and then the stat cache.
     """
     state.path.parent.mkdir(parents=True, exist_ok=True)
-    lock_path = state.path.with_name(state.path.name + ".lock")
-    with open(lock_path, "a+") as lock_handle:
-        try:
-            fcntl.flock(lock_handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except BlockingIOError:
-            raise VaultError(f"another sync run holds {lock_path}") from None
+    with exclusive_lock(state.path.with_name(state.path.name + ".lock"), "another sync run"):
         return _sync_locked(Path(root), store, state)
 
 
@@ -450,14 +472,27 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
         state.entries.pop(key, None)
         report.pushed.append(key)
 
-    def local_target(key: str) -> Path:
-        target = root / key
-        if not target.resolve().is_relative_to(root.resolve()):
-            raise ValueError(f"remote key escapes the vault root: {key!r}")
-        return target
+    def moved(key: str) -> bool:
+        """Re-stat a key sync is about to replace or unlink locally. If the
+        file changed, appeared or went away since the scan, record it as it
+        is now in `local` and `local_digests`, and return True."""
+        path = _inside(root, key)
+        try:
+            st = os.stat(path)
+        except (FileNotFoundError, NotADirectoryError):
+            st = None
+        scanned = local.get(key)
+        if _sig(st) == _sig(scanned[1] if scanned else None):
+            return False
+        if st is None:
+            del local[key], local_digests[key]
+        else:
+            local[key] = (str(path), st)
+            local_digests[key] = _digest_file(str(path))
+        return True
 
     def store_local(key: str, data: bytes, version: str) -> None:
-        target = local_target(key)
+        target = _inside(root, key)
         target.parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(target) as out:
             out.write(data)
@@ -509,13 +544,16 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
                 else:
                     push(key, precondition=last_version)
             elif remote_changed and not local_changed:
-                if remote_version is None:
-                    local_target(key).unlink(missing_ok=True)
+                fetched = None if remote_version is None else store.get_object(key)
+                if moved(key):  # a local write landed after the scan: both changed
+                    conflict(key)
+                    continue
+                if fetched is None:
+                    _inside(root, key).unlink(missing_ok=True)
                     state.entries.pop(key, None)
-                    report.pulled.append(key)
                 else:
-                    store_local(key, *store.get_object(key))
-                    report.pulled.append(key)
+                    store_local(key, *fetched)
+                report.pulled.append(key)
             else:  # both sides changed
                 if local_digest is None and remote_version is None:
                     state.entries.pop(key, None)

@@ -35,7 +35,8 @@ stores only wrapped or sealed secrets and is safe to sync to a remote.
 One helper does each recurring job, here and in `sync`, `cli` and `bench`:
 `atomic_write` writes every file (a .tmp-<hex> sibling, then os.replace;
 only a new entry's dirid.sc, in its fresh staging directory, is written
-directly), `pack_record`/`unpack_record` frame vault.cfg and sync.state, and
+directly), `pack_record`/`unpack_record` frame vault.cfg and sync.state,
+`exclusive_lock` takes the advisory lock of a CLI command or a sync run, and
 `VaultHandle._entry` maps a path to its (parent dir id, physical entry).
 
 Each namespace step asks the filesystem one question, on plain str paths: a
@@ -65,6 +66,7 @@ by single dict get, set and clear calls, so readers share it without a lock.
 from __future__ import annotations
 
 import errno
+import fcntl
 import hmac
 import os
 import shutil
@@ -93,6 +95,7 @@ from .errors import (
     SvnViolation,
     TargetNotEmpty,
     UnsealFailure,
+    VaultError,
     VaultLocked,
     WrongPassword,
 )
@@ -180,6 +183,19 @@ def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
         if isinstance(exc, OSError) and exc.errno == errno.ENOSPC:
             raise StorageFull(str(exc)) from None
         raise
+
+
+@contextmanager
+def exclusive_lock(path: str | os.PathLike, holder: str) -> Iterator[None]:
+    """Hold an advisory exclusive flock on `path`, created if missing, for
+    the body. If it is already held, raise VaultError at once, naming
+    `holder` as the one that holds it."""
+    with open(path, "a+") as handle:
+        try:
+            fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise VaultError(f"{holder} holds the lock on {path}") from None
+        yield
 
 
 def pack_record(magic: bytes, version: int, count: int, body: bytes) -> bytes:

@@ -1,5 +1,6 @@
 """CLI surface: commands, exit codes, secret hygiene."""
 
+import fcntl
 import hashlib
 import os
 
@@ -60,6 +61,13 @@ class TestInit:
         assert cli.main(["get", "doc", str(env / "back.bin"), "--vault", str(env / "sv")]) == 0
         assert (env / "back.bin").read_bytes() == src.read_bytes()
 
+    def test_malformed_seed_file_is_exit_2(self, env):
+        bad = env / "bad-seed"
+        bad.write_text("not a platform seed")
+        extra = ("--platform-seed-file", str(bad))
+        assert _init(env, name="sv", mode="sealed", extra=extra) == 2
+        assert not (env / "sv").exists()
+
     def test_sealed_wrong_platform_is_exit_3(self, env, monkeypatch):
         assert _init(env, name="sv", mode="sealed") == 0
         other_seed = env / "other-seed.hex"
@@ -114,6 +122,29 @@ class TestFileCommands:
         assert cli.main(["get", "f.bin", str(env / "out" / "f.bin"), "--vault", vaultdir]) == 3
         assert list((env / "out").iterdir()) == []
 
+    def test_get_under_regular_file_is_exit_1(self, env):
+        _init(env)
+        vaultdir = str(env / "vault")
+        src = env / "src.bin"
+        src.write_bytes(b"v")
+        assert cli.main(["put", str(src), "f.bin", "--vault", vaultdir]) == 0
+        (env / "plain").write_bytes(b"a regular file")
+        assert cli.main(["get", "f.bin", str(env / "plain" / "x"), "--vault", vaultdir]) == 1
+        assert (env / "plain").read_bytes() == b"a regular file"
+
+    def test_rm_while_locked_is_exit_1(self, env, capsys):
+        _init(env)
+        vaultdir = env / "vault"
+        src = env / "f.bin"
+        src.write_bytes(b"content")
+        assert cli.main(["put", str(src), "f.bin", "--vault", str(vaultdir)]) == 0
+        capsys.readouterr()
+        with open(vaultdir / ".lock", "a+") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert cli.main(["rm", "f.bin", "--vault", str(vaultdir)]) == 1
+        assert "another command" in capsys.readouterr().err
+        assert cli.main(["rm", "f.bin", "--vault", str(vaultdir)]) == 0
+
     def test_wrong_password_is_exit_3(self, env, monkeypatch):
         _init(env)
         bad = env / "bad.txt"
@@ -167,6 +198,22 @@ class TestSyncCommand:
             "--remote", "http://127.0.0.1:9/store",
         ])
         assert code == 1
+
+    def test_sync_closes_the_store(self, env, monkeypatch):
+        closed = []
+        real_close = cli.sync_mod.HttpStore.close
+
+        def close(store):
+            closed.append(store)
+            real_close(store)
+
+        monkeypatch.setattr(cli.sync_mod.HttpStore, "close", close)
+        _init(env)
+        code = cli.main([
+            "sync", "--vault", str(env / "vault"),
+            "--remote", "http://127.0.0.1:9/store",
+        ])
+        assert code == 1 and len(closed) == 1
 
 
 class TestBenchCommand:

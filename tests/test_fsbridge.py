@@ -20,6 +20,20 @@ def test_open_write_then_read(fs):
         assert f.read() == b"line one\nline two\n"
 
 
+def test_failed_write_keeps_old_version(fs):
+    fs.handle.write_file("doc.txt", b"old complete version")
+    with pytest.raises(RuntimeError):
+        with fs.open("doc.txt", "wb") as f:
+            f.write(b"half of the new")
+            raise RuntimeError("the writer failed")
+    assert fs.handle.read_file("doc.txt") == b"old complete version"
+    shard = fs.handle.map_path("doc.txt").parent
+    assert not [p.name for p in shard.iterdir() if p.name.startswith(vault.TEMP_PREFIX)]
+    with fs.open("doc.txt", "wb") as f:
+        f.write(b"the new version")
+    assert fs.handle.read_file("doc.txt") == b"the new version"
+
+
 def test_partial_reads(fs):
     with fs.open("blob", "wb") as f:
         f.write(bytes(range(256)) * 200)

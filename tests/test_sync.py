@@ -120,11 +120,26 @@ def http_server():
     thread.start()
     yield server
     server.shutdown()
+    server.server_close()
     thread.join(timeout=5)
 
 
 def _url(server):
     return f"http://127.0.0.1:{server.server_address[1]}"
+
+
+@pytest.fixture
+def http_store(http_server):
+    """Factory: an HttpStore on the fixture server, closed at teardown."""
+    stores = []
+
+    def make(token=None):
+        stores.append(sync.HttpStore(_url(http_server), token=token))
+        return stores[-1]
+
+    yield make
+    for store in stores:
+        store.close()
 
 
 # -- store contracts ----------------------------------------------------------
@@ -206,8 +221,8 @@ class TestLocalDirStore:
 
 
 class TestHttpStore:
-    def test_roundtrip(self, http_server):
-        store = sync.HttpStore(_url(http_server))
+    def test_roundtrip(self, http_store):
+        store = http_store()
         version = store.put_object("d/obj.bin", b"payload")
         data, got_version = store.get_object("d/obj.bin")
         assert data == b"payload" and got_version == version
@@ -217,15 +232,15 @@ class TestHttpStore:
         with pytest.raises(NotFound):
             store.get_object("d/obj.bin")
 
-    def test_if_match(self, http_server):
-        store = sync.HttpStore(_url(http_server))
+    def test_if_match(self, http_store):
+        store = http_store()
         v = store.put_object("k", b"one")
         store.put_object("k", b"two", precondition_version=v)
         with pytest.raises(PreconditionFailed):
             store.put_object("k", b"three", precondition_version=v)
 
-    def test_if_match_delete(self, http_server):
-        store = sync.HttpStore(_url(http_server))
+    def test_if_match_delete(self, http_store):
+        store = http_store()
         old = store.put_object("k", b"one")
         new = store.put_object("k", b"two")
         with pytest.raises(PreconditionFailed):
@@ -235,12 +250,12 @@ class TestHttpStore:
         assert store.list("") == []
         store.delete("k", precondition_version=new)
 
-    def test_bearer_token(self, http_server):
+    def test_bearer_token(self, http_server, http_store):
         http_server.token = "sekrit-token"
-        denied = sync.HttpStore(_url(http_server))
+        denied = http_store()
         with pytest.raises(StoreUnreachable):
             denied.put_object("k", b"x")
-        allowed = sync.HttpStore(_url(http_server), token="sekrit-token")
+        allowed = http_store(token="sekrit-token")
         allowed.put_object("k", b"x")
         assert allowed.get_object("k")[0] == b"x"
 
@@ -249,14 +264,14 @@ class TestHttpStore:
         with pytest.raises(StoreUnreachable):
             store.list("")
 
-    def test_sync_through_http(self, http_server, tmp_path):
+    def test_sync_through_http(self, http_store, tmp_path):
         root = tmp_path / "v"
         vault.create_vault(root, TEST_PASSWORD, modes.ModeId.V1,
                            iterations=TEST_ITERATIONS)
         handle = vault.unlock_vault(root, TEST_PASSWORD)
         handle.write_file("a.bin", os.urandom(40_000))
         handle.lock()
-        store = sync.HttpStore(_url(http_server))
+        store = http_store()
         report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
         assert len(report.pushed) >= 2 and not report.conflicts
         again = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
@@ -307,6 +322,23 @@ class TestSyncState:
             body += struct.pack("<I", len(kb)) + kb + struct.pack("<I", len(vb)) + vb + digest
         record = b"SST1" + struct.pack("<II", 1, 2) + body
         assert (tmp_path / "s").read_bytes() == record + sha256(record).digest()
+
+    def test_stat_cache_golden_layout(self, tmp_path):
+        state = sync.SyncState(tmp_path / "s")
+        state.stat_cache["zeta/\u00e9"] = ((7, -5, 2**40, 2**63), b"\x02" * 32)
+        state.stat_cache["alpha"] = ((0, 1, 2, 3), b"\x01" * 32)
+        state.save_stat_cache()
+        # magic | u32 version | u32 entry count | entries sorted by key, each
+        # u32 key length, UTF-8 key, u64 size, i64 mtime_ns, i64 ctime_ns,
+        # u64 inode, 32-byte digest | SHA-256 of everything before it
+        body = b""
+        for key, sig, digest in (("alpha", (0, 1, 2, 3), b"\x01" * 32),
+                                 ("zeta/\u00e9", (7, -5, 2**40, 2**63), b"\x02" * 32)):
+            kb = key.encode("utf-8")
+            body += struct.pack("<I", len(kb)) + kb + struct.pack("<QqqQ", *sig) + digest
+        record = b"SSC1" + struct.pack("<II", 1, 2) + body
+        assert (tmp_path / "s.stat").read_bytes() == record + sha256(record).digest()
+        assert sync.SyncState(tmp_path / "s").stat_cache == state.stat_cache
 
     def test_save_crash_keeps_old_state(self, tmp_path, monkeypatch):
         state = sync.SyncState(tmp_path / "s")
@@ -577,7 +609,7 @@ class TestSync:
         if backend == "local":
             store = sync.LocalDirStore(tmp_path / "remote")
         else:
-            store = sync.HttpStore(_url(request.getfixturevalue("http_server")))
+            store = request.getfixturevalue("http_store")()
         sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
         (root / "obj").unlink()
         listed = store.list
@@ -606,7 +638,7 @@ class TestSync:
         if backend == "local":
             store = sync.LocalDirStore(tmp_path / "remote")
         else:
-            store = sync.HttpStore(_url(request.getfixturevalue("http_server")))
+            store = request.getfixturevalue("http_store")()
         sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
         if case != "local edit":
             store.put_object("obj", b"remote edit")
@@ -632,6 +664,49 @@ class TestSync:
             assert report.pushed == ["obj"]
             assert store.get_object("obj")[0] == b"local edit, longer than the base"
         again = sync.sync(root, store, state)
+        assert not again.pushed and not again.pulled and not again.conflicts
+
+    @pytest.mark.parametrize("backend", ["local", "http"])
+    @pytest.mark.parametrize("case", ["remote edit", "remote create", "remote delete"])
+    def test_local_edit_after_listing_survives(self, tmp_path, request, backend, case):
+        """A local write lands between the listing and the pull or unlink
+        that would replace it: the local bytes win and are pushed, and the
+        remote bytes are kept as a conflict object."""
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"common base")
+        if backend == "local":
+            store = sync.LocalDirStore(tmp_path / "remote")
+        else:
+            store = request.getfixturevalue("http_store")()
+        sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        key = "new" if case == "remote create" else "obj"
+        if case == "remote delete":
+            store.delete("obj")
+        else:
+            store.put_object(key, b"remote bytes")
+        listed = store.list
+        versions = {k: v for k, v, _ in listed("")}
+        edit = b"local edit after the listing"
+
+        def list_then_edit(prefix=""):
+            listing = listed(prefix)
+            (root / key).write_bytes(edit)
+            return listing
+
+        store.list = list_then_edit
+        report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        del store.list
+        assert not report.pulled
+        assert (root / key).read_bytes() == edit
+        assert store.get_object(key)[0] == edit
+        if case == "remote delete":
+            assert report.pushed == [key] and not report.conflicts
+        else:
+            assert report.conflicts == [key] and not report.pushed
+            conflict_key = f"{key}.conflict-{versions[key]}"
+            assert store.get_object(conflict_key)[0] == b"remote bytes"
+            assert (root / conflict_key).read_bytes() == b"remote bytes"
+        again = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
         assert not again.pushed and not again.pulled and not again.conflicts
 
 
