@@ -22,7 +22,9 @@ of the same objects.
 Filename encryption is deterministic (AES-SIV keyed by the name key, with
 the directory id as associated data) because lookup-by-name requires the
 same name to encrypt to the same string. Encoded names are unpadded
-URL-safe base64 plus a ".sc" suffix and never exceed 255 characters.
+URL-safe base64 plus a ".sc" suffix and never exceed 255 characters. Each
+name key's AES-SIV is keyed once and kept (`_name_siv`) until
+`forget_name_key` or the cache cap drops it.
 """
 
 from __future__ import annotations
@@ -65,6 +67,10 @@ MAX_NAME_BYTES = 160
 NAME_SUFFIX = ".sc"
 MAX_ENCODED_NAME = 255
 DEFAULT_PBKDF2_ITERATIONS = 600_000
+
+# Name keys whose keyed AES-SIV `_name_siv` keeps; emptied at the cap.
+_NAME_SIV_CACHE = 16
+_name_sivs: dict[bytes, AESSIV] = {}
 
 
 class ModeId(str, Enum):
@@ -371,6 +377,23 @@ def _validate_name(name: str) -> bytes:
     return raw
 
 
+def _name_siv(name_key: bytes) -> AESSIV:
+    """The AES-SIV of a name key. Keying it is most of a short name's cost,
+    so each name key is keyed once; the cache is emptied when it reaches
+    its cap, and `forget_name_key` drops one key."""
+    siv = _name_sivs.get(name_key)
+    if siv is None:
+        if len(_name_sivs) >= _NAME_SIV_CACHE:
+            _name_sivs.clear()
+        siv = _name_sivs[name_key] = AESSIV(name_key)
+    return siv
+
+
+def forget_name_key(name_key: bytes) -> None:
+    """Drop the keyed AES-SIV of a name key (a vault handle's lock() does)."""
+    _name_sivs.pop(name_key, None)
+
+
 def encrypt_filename(name_key: bytes, dir_id: bytes, name: str) -> str:
     """Deterministically encrypt a name within a directory.
 
@@ -381,7 +404,7 @@ def encrypt_filename(name_key: bytes, dir_id: bytes, name: str) -> str:
     raw = _validate_name(name)
     if len(dir_id) != 16:
         raise ValueError("dir_id must be 16 bytes")
-    sealed = AESSIV(name_key).encrypt(raw, [dir_id])
+    sealed = _name_siv(name_key).encrypt(raw, [dir_id])
     encoded = base64.urlsafe_b64encode(sealed).rstrip(b"=").decode("ascii") + NAME_SUFFIX
     assert len(encoded) <= MAX_ENCODED_NAME
     return encoded
@@ -404,7 +427,7 @@ def decrypt_filename(name_key: bytes, dir_id: bytes, encoded: str) -> str:
     if len(raw) < 17:  # 16-byte SIV plus at least one ciphertext byte
         raise MalformedName("encoded name too short")
     try:
-        cleartext = AESSIV(name_key).decrypt(raw, [dir_id])
+        cleartext = _name_siv(name_key).decrypt(raw, [dir_id])
     except InvalidTag:
         raise AuthenticationFailure("filename failed authentication") from None
     return cleartext.decode("utf-8")

@@ -544,7 +544,12 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
                 else:
                     push(key, precondition=last_version)
             elif remote_changed and not local_changed:
-                fetched = None if remote_version is None else store.get_object(key)
+                fetched = None
+                if remote_version is not None:
+                    try:
+                        fetched = store.get_object(key)
+                    except NotFound:
+                        pass  # deleted after the listing: pulled as a remote delete
                 if moved(key):  # a local write landed after the scan: both changed
                     conflict(key)
                     continue

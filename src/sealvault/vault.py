@@ -58,9 +58,22 @@ the id they decrypted to. Every level still reads its dirid.sc, and the
 memoized id is reused only when the bytes just read equal the memoized
 bytes; otherwise the level authenticates them and replaces the entry. So a
 rename, removal, re-creation, sync pull, second handle or tampering shows at
-the very next lookup, and nothing needs invalidating. The memo is emptied
-when it reaches _LOOKUP_MEMO_SIZE entries and by lock(); it is touched only
-by single dict get, set and clear calls, so readers share it without a lock.
+the very next lookup, and nothing needs invalidating.
+
+Two more memos keep warm reads from decrypting anything twice. The header
+memo maps a file's physical entry to the 640 header bytes last read or
+written there and the (file id, file key) they hold: every open still reads
+the header, reuses the key only when the bytes equal the memoized bytes, and
+otherwise unwraps or unseals them as a cold read does and replaces the
+entry; write_file memoizes the header it writes. Blocks are authenticated on
+every read, and the size comes from fstat. The name memo maps (dir id,
+encoded name) to the name for list_dir. AES-SIV is deterministic, so it
+needs no check on disk; only names that authenticated enter it, and a
+failure is tried again at every listing.
+
+Each memo is emptied when it reaches _LOOKUP_MEMO_SIZE entries and by
+lock(); each is touched only by single dict get, set and clear calls, so
+readers share them without a lock.
 """
 
 from __future__ import annotations
@@ -458,6 +471,10 @@ class VaultHandle:
         self._write_locks = tuple(threading.Lock() for _ in range(_WRITE_LOCK_STRIPES))
         # (parent dir id, name) -> (entry, its dirid path, dirid bytes, dir id)
         self._memo: dict[tuple[bytes, str], tuple] = {}
+        # file entry -> (header bytes, file id, file key)
+        self._headers: dict[str, tuple[bytes, bytes, bytes]] = {}
+        # (dir id, encoded name) -> name
+        self._names: dict[tuple[bytes, str], str] = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -473,8 +490,12 @@ class VaultHandle:
             except Exception:
                 pass
             self._session = None
+        if self._master is not None:
+            modes.forget_name_key(self._master.name_key)
         self._master = None
         self._memo.clear()
+        self._headers.clear()
+        self._names.clear()
 
     def __enter__(self) -> "VaultHandle":
         return self
@@ -494,10 +515,11 @@ class VaultHandle:
 
     # -- path resolution ----------------------------------------------------
 
-    def _remember(self, key: tuple[bytes, str], value: tuple) -> None:
-        if len(self._memo) >= _LOOKUP_MEMO_SIZE:
-            self._memo.clear()
-        self._memo[key] = value
+    @staticmethod
+    def _remember(memo: dict, key, value) -> None:
+        if len(memo) >= _LOOKUP_MEMO_SIZE:
+            memo.clear()
+        memo[key] = value
 
     def _lookup(self, name_key: bytes, dir_id: bytes, name: str) -> tuple:
         """Memo entry of `name` in directory `dir_id`: (physical entry, the
@@ -508,7 +530,7 @@ class VaultHandle:
             entry = os.path.join(_shard_path(self.root, name_key, dir_id),
                                  modes.encrypt_filename(name_key, dir_id, name))
             hit = (entry, os.path.join(entry, DIRID_NAME), None, None)
-            self._remember((dir_id, name), hit)
+            self._remember(self._memo, (dir_id, name), hit)
         return hit
 
     def _dir_id(self, parent_id: bytes, name: str) -> bytes:
@@ -526,7 +548,7 @@ class VaultHandle:
             child_id = AESGCM(name_key).decrypt(raw[:12], raw[12:], _LABEL_DIR_ID + parent_id)
         except InvalidTag:
             raise AuthenticationFailure("directory id failed authentication") from None
-        self._remember((parent_id, name), (entry, dirid, raw, child_id))
+        self._remember(self._memo, (parent_id, name), (entry, dirid, raw, child_id))
         return child_id
 
     def _resolve_dir(self, parts: list[str], create: bool = False) -> bytes:
@@ -569,7 +591,7 @@ class VaultHandle:
                 ) from None
             except FileNotFoundError:
                 raise exc from None
-        self._remember((parent_id, name), (entry, dirid, raw, child_id))
+        self._remember(self._memo, (parent_id, name), (entry, dirid, raw, child_id))
         return child_id
 
     @staticmethod
@@ -685,11 +707,13 @@ class VaultHandle:
             file_id = os.urandom(16)
             file_key = os.urandom(32)
             cipher = self._block_cipher(file_id, file_key)
+            header = self._build_header(file_id, file_key)
             with atomic_write(target) as out:
-                out.write(self._build_header(file_id, file_key))
+                out.write(header)
                 stored = self._write_blocks(out, cipher, content)
                 out.flush()
                 os.fsync(out.fileno())
+            self._remember(self._headers, target, (header, file_id, file_key))
             return stored
 
     def _open_object(self, logical_path: str) -> tuple[BinaryIO, modes.BlockCipher, int]:
@@ -698,12 +722,19 @@ class VaultHandle:
         parts = _split_path(logical_path)
         if not parts:
             raise NotFound("the vault root is not a file")
+        entry = self._entry(parts)[1]
         try:
-            fh = open(self._entry(parts)[1], "rb", buffering=0)
+            fh = open(entry, "rb", buffering=0)
         except (FileNotFoundError, IsADirectoryError):
             raise NotFound(f"no such file: {logical_path!r}") from None
         try:
-            file_id, file_key = self._parse_header(fh.read(FILE_HEADER_SIZE))
+            raw = fh.read(FILE_HEADER_SIZE)
+            seen = self._headers.get(entry)
+            if seen is not None and seen[0] == raw:
+                _, file_id, file_key = seen
+            else:
+                file_id, file_key = self._parse_header(raw)
+                self._remember(self._headers, entry, (raw, file_id, file_key))
             try:
                 size = invert_object_size(
                     os.fstat(fh.fileno()).st_size, self.mode.block_overhead
@@ -800,25 +831,28 @@ class VaultHandle:
             items = list(os.scandir(self._shard(dir_id)))
         except FileNotFoundError:  # empty directory on a freshly pulled replica
             return entries
+        names, overhead = self._names, self.mode.block_overhead
         for item in items:
-            if item.name.startswith(TEMP_PREFIX):
+            encoded = item.name
+            if encoded.startswith(TEMP_PREFIX):
+                continue
+            name = names.get((dir_id, encoded))
+            if name is None:
+                try:
+                    name = modes.decrypt_filename(self._keys().name_key, dir_id, encoded)
+                except Exception:
+                    entries.append(DirEntry(encoded, "unreadable", None))
+                    continue
+                self._remember(names, (dir_id, encoded), name)
+            if item.is_dir():
+                entries.append(DirEntry(name, "dir", None))
                 continue
             try:
-                name = modes.decrypt_filename(self._keys().name_key, dir_id, item.name)
-            except Exception:
-                entries.append(DirEntry(name=item.name, kind="unreadable", size=None))
+                size = invert_object_size(item.stat().st_size, overhead)
+            except ValueError:
+                entries.append(DirEntry(encoded, "unreadable", None))
                 continue
-            if item.is_dir():
-                entries.append(DirEntry(name=name, kind="dir", size=None))
-            else:
-                try:
-                    size = invert_object_size(
-                        item.stat().st_size, self.mode.block_overhead
-                    )
-                except ValueError:
-                    entries.append(DirEntry(name=item.name, kind="unreadable", size=None))
-                    continue
-                entries.append(DirEntry(name=name, kind="file", size=size))
+            entries.append(DirEntry(name, "file", size))
         entries.sort(key=lambda e: e.name)
         return entries
 

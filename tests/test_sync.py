@@ -667,6 +667,40 @@ class TestSync:
         assert not again.pushed and not again.pulled and not again.conflicts
 
     @pytest.mark.parametrize("backend", ["local", "http"])
+    def test_remote_delete_after_listing_on_pull(self, tmp_path, request, backend):
+        """A remote edit is listed, then the key is deleted remotely before
+        the pull fetches it: the run applies the delete locally."""
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"common base")
+        (root / "other").write_bytes(b"unrelated")
+        if backend == "local":
+            store = sync.LocalDirStore(tmp_path / "remote")
+        else:
+            store = request.getfixturevalue("http_store")()
+        sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        store.put_object("obj", b"remote edit")
+        store.put_object("zz-new", b"listed after obj")
+        listed = store.list
+
+        def list_then_delete(prefix=""):
+            listing = listed(prefix)
+            store.delete("obj")
+            return listing
+
+        store.list = list_then_delete
+        report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        del store.list
+        assert report.pulled == ["obj", "zz-new"]
+        assert not report.pushed and not report.conflicts
+        assert not (root / "obj").exists()
+        assert (root / "zz-new").read_bytes() == b"listed after obj"
+        state = sync.SyncState(root / sync.STATE_NAME)
+        assert "obj" not in state.entries
+        assert sorted(key for key, _, _ in store.list("")) == ["other", "zz-new"]
+        again = sync.sync(root, store, state)
+        assert not again.pushed and not again.pulled and not again.conflicts
+
+    @pytest.mark.parametrize("backend", ["local", "http"])
     @pytest.mark.parametrize("case", ["remote edit", "remote create", "remote delete"])
     def test_local_edit_after_listing_survives(self, tmp_path, request, backend, case):
         """A local write lands between the listing and the pull or unlink

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from sealvault import modes, sync, vault
+from sealvault import modes, sync, tee, vault
 from sealvault.errors import (
     AuthenticationFailure,
     CorruptConfig,
@@ -1106,6 +1106,179 @@ class TestLookupMemo:
             fresh.lock()
 
 
+def _foreign_vault(tmp_path, mode, other_platform):
+    """A vault whose keys this test's vaults do not share: a v1 vault has
+    its own content key, a sealed one is sealed to another platform."""
+    root = tmp_path / "foreign"
+    plat = other_platform if mode is modes.ModeId.SEALED else None
+    vault.create_vault(root, TEST_PASSWORD, mode, platform=plat, iterations=TEST_ITERATIONS)
+    return vault.unlock_vault(root, TEST_PASSWORD, platform=plat)
+
+
+class TestHeaderAndNameMemo:
+    """A handle memoizes file headers by physical entry, checked against the
+    header bytes read at every open, and decrypted names by (dir id,
+    encoded name), filled only by names that authenticated."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_object_copied_over_entry_reads_as_new_content(self, make_vault, mode):
+        warm = make_vault(mode)
+        first, second = os.urandom(40_000), os.urandom(5_000)
+        warm.write_file("d/a", first)
+        warm.write_file("e/b", second)
+        assert warm.read_file("d/a") == first
+        assert warm.read_range("d/a", 100, 50) == first[100:150]
+        warm.map_path("d/a").write_bytes(warm.map_path("e/b").read_bytes())
+        assert warm.read_file("d/a") == second
+        assert warm.read_range("d/a", 100, 50) == second[100:150]
+        assert _read_to_bytes(warm, "d/a") == second
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_foreign_header_fails_on_warm_handle(self, make_vault, tmp_path,
+                                                 other_platform, mode):
+        warm = make_vault(mode)
+        warm.write_file("h.bin", b"header bound")
+        assert warm.read_file("h.bin") == b"header bound"
+        foreign = _foreign_vault(tmp_path, mode, other_platform)
+        foreign.write_file("h.bin", b"header bound")
+        foreign_header = foreign.map_path("h.bin").read_bytes()[:vault.FILE_HEADER_SIZE]
+        foreign.lock()
+        phys = warm.map_path("h.bin")
+        good = phys.read_bytes()
+        phys.write_bytes(foreign_header + good[vault.FILE_HEADER_SIZE:])
+        for read in (lambda: warm.read_file("h.bin"), lambda: warm.read_range("h.bin", 0, 6)):
+            with pytest.raises(AuthenticationFailure):
+                read()
+        phys.write_bytes(good)
+        assert warm.read_range("h.bin", 7, 5) == b"bound"
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_overwrite_by_second_handle_shows_at_next_read(self, make_vault, reopen, mode):
+        warm = make_vault(mode)
+        warm.write_file("d/f", b"old contents")
+        assert warm.read_file("d/f") == b"old contents"
+        reopen(warm).write_file("d/f", b"new contents, longer")
+        assert warm.read_file("d/f") == b"new contents, longer"
+        assert warm.read_range("d/f", 4, 8) == b"contents"
+        assert warm.list_dir("d") == [vault.DirEntry("f", "file", 20)]
+
+    def test_lock_empties_memos_and_drops_the_name_key(self, make_vault):
+        handle = make_vault(modes.ModeId.V1)
+        handle.write_file("a/f", b"data")
+        assert handle.read_file("a/f") == b"data"
+        assert [e.name for e in handle.list_dir("a")] == ["f"]
+        name_key = handle._keys().name_key
+        assert handle._headers and handle._names and name_key in modes._name_sivs
+        handle.lock()
+        assert handle._headers == {} and handle._names == {}
+        assert name_key not in modes._name_sivs
+        with pytest.raises(VaultLocked):
+            handle.list_dir("a")
+
+    def test_memos_are_bounded(self, make_vault, monkeypatch):
+        monkeypatch.setattr(vault, "_LOOKUP_MEMO_SIZE", 5)
+        handle = make_vault(modes.ModeId.SEALED)
+        for i in range(12):
+            handle.write_file(f"d/f{i:02d}", bytes([i]))
+            assert len(handle._headers) <= 5
+        for _ in range(2):
+            for i in range(12):
+                assert handle.read_file(f"d/f{i:02d}") == bytes([i])
+                assert len(handle._headers) <= 5
+            assert [e.name for e in handle.list_dir("d")] == [f"f{i:02d}" for i in range(12)]
+            assert len(handle._names) <= 5
+
+    def test_threaded_readers_and_writer_with_small_cap(self, make_vault, monkeypatch):
+        """Readers share one handle's memos with a writer overwriting the
+        files they read; every read returns a version that was written."""
+        monkeypatch.setattr(vault, "_LOOKUP_MEMO_SIZE", 3)
+        handle = make_vault(modes.ModeId.SEALED)
+        paths = [f"d{i % 2}/f{i}" for i in range(6)]
+        versions = {p: [bytes([i, v]) * 3000 for v in range(4)] for i, p in enumerate(paths)}
+        for path in paths:
+            handle.write_file(path, versions[path][0])
+        errors = []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                for _ in range(80):
+                    path = rng.choice(paths)
+                    assert handle.read_file(path) in versions[path]
+                    assert handle.read_range(path, 1000, 2) in {v[1000:1002] for v in versions[path]}
+                    listed = handle.list_dir(path.split("/")[0])
+                    assert {e.name for e in listed} == {p.split("/")[1] for p in paths
+                                                       if p.startswith(path.split("/")[0])}
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        def writer():
+            rng = random.Random(99)
+            try:
+                for _ in range(40):
+                    path = rng.choice(paths)
+                    handle.write_file(path, rng.choice(versions[path]))
+            except BaseException as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(seed,)) for seed in range(4)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, mid-read
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert len(handle._headers) <= 3 + len(threads)
+        assert len(handle._names) <= 3 + len(threads)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_warm_handles_agree_with_fresh_handle(self, make_vault, reopen, mode, seed):
+        """Random writes, overwrites, renames and removes, each on one of two
+        long-lived handles; after each, both answer every read_file,
+        read_range and list_dir as a fresh handle does."""
+        rng = random.Random(seed)
+        first = make_vault(mode)
+        handles = (first, reopen(first))
+        dirs = ["a", "b", "a/a"]
+        files = [f"{d}/{n}".lstrip("/") for d in ["", *dirs] for n in ("f", "g")]
+        expected = (NotFound, DirectoryNotEmpty, TargetNotEmpty, InvalidName)
+        for step in range(30):
+            actor = rng.choice(handles)
+            op = rng.choice(["write", "write", "remove", "rename", "make_dir"])
+            try:
+                if op == "write":
+                    size = rng.choice([1, rng.randrange(2, 200), rng.randrange(32_000, 70_000)])
+                    actor.write_file(rng.choice(files), os.urandom(size))
+                elif op == "remove":
+                    actor.remove_file(rng.choice(files + dirs))
+                elif op == "rename":
+                    actor.rename_file(rng.choice(files + dirs), rng.choice(files + dirs))
+                else:
+                    actor.make_dir(rng.choice(dirs))
+            except expected:
+                pass
+            fresh = reopen(first)
+            for path in files:
+                offset, length = rng.randrange(0, 70_000), rng.randrange(1, 40_000)
+                for read in (lambda h: h.read_file(path),
+                             lambda h: h.read_range(path, offset, length)):
+                    want = _outcome(lambda: read(fresh))
+                    assert [_outcome(lambda: read(h)) for h in handles] == [want] * 2, \
+                        (step, op, path)
+            for path in ["", *dirs]:
+                want = _outcome(lambda: fresh.list_dir(path))
+                assert [_outcome(lambda: h.list_dir(path)) for h in handles] == [want] * 2, \
+                    (step, op, path)
+            fresh.lock()
+
+
 _opened: list[str] | None = None  # paths opened while a test collects them
 _audit_installed = False
 
@@ -1160,6 +1333,97 @@ class TestLookupCost:
             assert len(opened) == 9
             assert sum(os.path.basename(p) == vault.DIRID_NAME for p in opened) == 8
             assert opened[-1] == str(warm.map_path(path))
+
+    def test_warm_sealed_read_unseals_no_header(self, make_vault, reopen, monkeypatch):
+        """A cold handle unseals a file's key once; after that, and after
+        the handle's own write, a read unseals only the blocks it reads."""
+        handle = make_vault(modes.ModeId.SEALED)
+        data = os.urandom(100_000)
+        handle.write_file("d/f", data)
+        cold = reopen(handle)
+        unseals = []
+        unseal = tee.unseal
+
+        def counting(*args):
+            unseals.append(args)
+            return unseal(*args)
+
+        monkeypatch.setattr(tee, "unseal", counting)
+        assert cold.read_range("d/f", 40_000, 4096) == data[40_000:44_096]
+        assert len(unseals) == 1
+        for warm in (cold, handle):
+            unseals.clear()
+            assert warm.read_range("d/f", 70_000, 4096) == data[70_000:74_096]
+            assert warm.read_file("d/f") == data
+            assert _read_to_bytes(warm, "d/f", 5) == data[5:]
+            assert unseals == []
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_warm_listing_decrypts_no_names(self, make_vault, monkeypatch, mode):
+        handle = make_vault(mode)
+        for i in range(10):
+            handle.write_file(f"d/f{i}", b"x" * i)
+        calls = []
+        decrypt_filename = modes.decrypt_filename
+
+        def counting(*args):
+            calls.append(args)
+            return decrypt_filename(*args)
+
+        monkeypatch.setattr(modes, "decrypt_filename", counting)
+        want = [vault.DirEntry(f"f{i}", "file", i) for i in range(10)]
+        assert handle.list_dir("d") == want
+        assert len(calls) == 10
+        calls.clear()
+        assert handle.list_dir("d") == want
+        assert calls == []
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_tampered_and_foreign_names_stay_unreadable(self, make_vault, monkeypatch, mode):
+        """A name that fails is decrypted again at every listing, never
+        memoized; the names that authenticated are not."""
+        handle = make_vault(mode)
+        handle.write_file("d/real", b"data")
+        handle.write_file("e/moved", b"from another directory")
+        handle.write_file("d/victim", b"its name is tampered")
+        assert {e.name for e in handle.list_dir("d")} == {"real", "victim"}
+        shard = handle.map_path("d/real").parent
+        victim = handle.map_path("d/victim")
+        body = victim.name[:-len(modes.NAME_SUFFIX)]
+        flipped = body[:5] + ("A" if body[5] != "A" else "B") + body[6:] + modes.NAME_SUFFIX
+        victim.rename(shard / flipped)
+        moved = handle.map_path("e/moved")
+        moved.rename(shard / moved.name)  # valid name, bound to another dir id
+        (shard / "Zm9yZWlnbi1nYXJiYWdl.sc").write_bytes(b"not a vault object")
+        unreadable = sorted([flipped, moved.name, "Zm9yZWlnbi1nYXJiYWdl.sc"])
+        calls = []
+        decrypt_filename = modes.decrypt_filename
+
+        def counting(name_key, dir_id, encoded):
+            calls.append(encoded)
+            return decrypt_filename(name_key, dir_id, encoded)
+
+        monkeypatch.setattr(modes, "decrypt_filename", counting)
+        for _ in range(2):
+            calls.clear()
+            entries = handle.list_dir("d")
+            assert sorted(e.name for e in entries if e.kind == "unreadable") == unreadable
+            assert [e.name for e in entries if e.kind == "file"] == ["real"]
+            assert sorted(calls) == unreadable
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_name_renamed_away_drops_out_of_listing(self, make_vault, reopen, mode):
+        warm = make_vault(mode)
+        warm.write_file("d/f", b"1")
+        warm.write_file("d/g", b"22")
+        warm.make_dir("d/sub")
+        assert [e.name for e in warm.list_dir("d")] == ["f", "g", "sub"]
+        other = reopen(warm)
+        other.make_dir("e")
+        other.rename_file("d/f", "e/f")
+        other.rename_file("d/sub", "e/sub")
+        assert warm.list_dir("d") == [vault.DirEntry("g", "file", 2)]
+        assert [e.name for e in warm.list_dir("e")] == ["f", "sub"]
 
 
 class TestAtomicWrite:
