@@ -51,6 +51,16 @@ entry before removing the old one. So a crash at any step leaves at worst a
 directory. Writes to one logical path serialize on one of a handle's
 _WRITE_LOCK_STRIPES locks, which unrelated paths may share.
 
+write_file fsyncs the new object before the rename that publishes it, and
+starts each batch's writeback (sync_file_range) as soon as the batch is
+written, so that fsync waits only for the tail. An object larger than one
+batch that the rename replaces is held open across it and closed on the
+handle's release thread, so the kernel frees its space shortly after
+write_file returns, off the caller's path. At most one such release is
+pending per handle: the next hand-off, and lock(), wait for it.
+Directories are not fsynced, so the contract is consistency after a
+process crash; a power loss may undo the latest namespace changes.
+
 A handle memoizes lookups by (parent dir id, name): the physical entry,
 which is a pure function of the keys (shard HMAC joined with the AES-SIV
 name), and for a directory the last dirid.sc bytes that authenticated with
@@ -78,11 +88,13 @@ readers share them without a lock.
 
 from __future__ import annotations
 
+import ctypes
 import errno
 import fcntl
 import hmac
 import os
 import shutil
+import stat
 import struct
 import threading
 from contextlib import contextmanager, suppress
@@ -126,6 +138,9 @@ BATCH_BLOCKS = 32
 _WRITE_LOCK_STRIPES = 64
 # Lookup memo entries per handle; the memo is emptied when it reaches this.
 _LOOKUP_MEMO_SIZE = 4096
+# write_file holds a replaced object larger than this (one batch of blocks)
+# open across its rename, so freeing it happens off the caller's path.
+_HOLD_REPLACED_OVER = BATCH_BLOCKS * modes.BLOCK_SIZE
 
 CONFIG_MAGIC = b"SVC1"
 CONFIG_VERSION = 1
@@ -150,6 +165,37 @@ _SEALED_KEY_SIZE = tee.HEADER_SIZE + 32  # sealed blob carrying a 32-byte key
 _DIRID_SIZE = 12 + 16 + 16  # AES-GCM nonce, the 16-byte id, tag
 
 _RECORD_HEADER = struct.Struct("<4sII")  # magic, version, count; SHA-256 trailer
+
+_SYNC_FILE_RANGE_WRITE = 2
+
+
+def _libc_sync_file_range():
+    """libc's sync_file_range(2), or None where the C library has none."""
+    try:
+        fn = ctypes.CDLL(None).sync_file_range
+    except (OSError, AttributeError):
+        return None
+    fn.argtypes = (ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_uint)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+_sync_file_range = _libc_sync_file_range()
+
+
+def _start_writeback(fd: int, offset: int, length: int) -> None:
+    """Have the kernel start writing [offset, offset + length) of `fd` to
+    disk now, without waiting, so a later fsync has less left to wait for.
+    Does nothing without sync_file_range; its result is ignored, since the
+    fsync that follows is the one durability check."""
+    if _sync_file_range is not None:
+        _sync_file_range(fd, offset, length, _SYNC_FILE_RANGE_WRITE)
+
+
+def _close_replaced(fd: int) -> None:
+    """Close a replaced object's last descriptor; the kernel frees its
+    pages and blocks in this call."""
+    os.close(fd)
 
 
 def _temp_sibling(path: str | os.PathLike) -> str:
@@ -475,6 +521,9 @@ class VaultHandle:
         self._headers: dict[str, tuple[bytes, bytes, bytes]] = {}
         # (dir id, encoded name) -> name
         self._names: dict[tuple[bytes, str], str] = {}
+        # the thread closing the last replaced object write_file held open
+        self._release_lock = threading.Lock()
+        self._releasing: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -483,7 +532,8 @@ class VaultHandle:
         return self._master is None
 
     def lock(self) -> None:
-        """Drop key material; the handle rejects all further I/O."""
+        """Drop key material, and wait until the last replaced object is
+        released; the handle rejects all further I/O."""
         if self._session is not None:
             try:
                 self._session.destroy()
@@ -496,6 +546,8 @@ class VaultHandle:
         self._memo.clear()
         self._headers.clear()
         self._names.clear()
+        with self._release_lock:
+            self._wait_release()
 
     def __enter__(self) -> "VaultHandle":
         return self
@@ -674,8 +726,10 @@ class VaultHandle:
 
     def _write_blocks(self, out: BinaryIO, cipher: modes.BlockCipher, content) -> int:
         """Encrypt content block by block into one reused batch buffer, one
-        write per batch; returns the cleartext bytes written."""
+        write per batch, and start each batch's writeback as it is written;
+        returns the cleartext bytes written."""
         step = modes.BLOCK_SIZE + cipher.overhead
+        fd, pos = out.fileno(), out.tell()
         buf = None
         index = stored = 0
         for chunk in _cleartext_batches(content):
@@ -689,6 +743,8 @@ class VaultHandle:
                 )
                 index += 1
             out.write(buf[:used])
+            _start_writeback(fd, pos, used)
+            pos += used
             stored += len(chunk)
         return stored
 
@@ -696,25 +752,66 @@ class VaultHandle:
         """Encrypt and store content (a bytes-like object, or a binary stream
         with readinto) at a logical path, creating parent directories as
         needed. Overwrites atomically (atomic_write, fsynced before the
-        rename). Returns the number of cleartext bytes stored."""
+        rename); a replaced object larger than one batch is freed on the
+        handle's release thread. Returns the number of cleartext bytes
+        stored."""
         parts = _split_path(logical_path)
         if not parts:
             raise InvalidName("cannot write to the vault root")
         with self._write_locks[hash("/".join(parts)) % _WRITE_LOCK_STRIPES]:
             _, target = self._entry(parts, create=True)
-            if os.path.isdir(target):
+            try:
+                replaced = os.stat(target)
+            except OSError:
+                replaced = None
+            if replaced is not None and stat.S_ISDIR(replaced.st_mode):
                 raise InvalidName(f"{parts[-1]!r} is a directory")
             file_id = os.urandom(16)
             file_key = os.urandom(32)
             cipher = self._block_cipher(file_id, file_key)
             header = self._build_header(file_id, file_key)
-            with atomic_write(target) as out:
-                out.write(header)
-                stored = self._write_blocks(out, cipher, content)
-                out.flush()
-                os.fsync(out.fileno())
+            held = None
+            try:
+                with atomic_write(target) as out:
+                    out.write(header)
+                    stored = self._write_blocks(out, cipher, content)
+                    out.flush()
+                    os.fsync(out.fileno())
+                    if replaced is not None and replaced.st_size > _HOLD_REPLACED_OVER:
+                        with suppress(FileNotFoundError):
+                            held = os.open(target, os.O_RDONLY)
+            except BaseException:
+                if held is not None:
+                    os.close(held)
+                raise
             self._remember(self._headers, target, (header, file_id, file_key))
+            if held is not None:
+                self._release(held)
             return stored
+
+    def _release(self, fd: int) -> None:
+        """Close a replaced object's descriptor on a release thread of this
+        handle, once the previous release has finished, so at most one is
+        pending per handle; a locked handle closes it here."""
+        with self._release_lock:
+            self._wait_release()
+            if self._master is None:
+                _close_replaced(fd)
+                return
+            thread = threading.Thread(target=_close_replaced, args=(fd,),
+                                      name="sealvault-release")
+            try:
+                thread.start()
+            except RuntimeError:  # no thread to be had: release it here
+                _close_replaced(fd)
+                return
+            self._releasing = thread
+
+    def _wait_release(self) -> None:
+        """Wait for the pending release, if any (with _release_lock held)."""
+        if self._releasing is not None:
+            self._releasing.join()
+            self._releasing = None
 
     def _open_object(self, logical_path: str) -> tuple[BinaryIO, modes.BlockCipher, int]:
         """Open a stored file: (unbuffered handle just past the header, the

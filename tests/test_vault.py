@@ -1446,3 +1446,207 @@ class TestAtomicWrite:
             with vault.atomic_write(tmp_path / "obj"):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         assert list(tmp_path.iterdir()) == []
+
+
+# Cleartext of a previous version whose object write_file holds across the
+# rename that replaces it: just over one batch.
+LARGE = vault.BATCH_BLOCKS * modes.BLOCK_SIZE + 1
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _temp_leftovers(handle, path):
+    return [p for p in handle.map_path(path).parent.iterdir()
+            if p.name.startswith(vault.TEMP_PREFIX)]
+
+
+class TestWriteDurabilityOrder:
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_writeback_per_batch_then_fsync_then_rename(self, make_vault, mode, monkeypatch):
+        handle = make_vault(mode)
+        handle.write_file("big.bin", b"previous version")
+        events = []
+        real_kick, real_fsync, real_replace = vault._start_writeback, os.fsync, os.replace
+
+        def kick(fd, offset, length):
+            events.append(("kick", fd, offset, length))
+            real_kick(fd, offset, length)
+
+        def fsync(fd):
+            events.append(("fsync", fd))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", os.path.basename(src), dst))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(vault, "_start_writeback", kick)
+        monkeypatch.setattr(vault.os, "fsync", fsync)
+        monkeypatch.setattr(vault.os, "replace", replace)
+        batches = 3
+        data = os.urandom(batches * vault.BATCH_BLOCKS * modes.BLOCK_SIZE - 100)
+        handle.write_file("big.bin", data)
+        monkeypatch.undo()
+        assert [e[0] for e in events] == ["kick"] * batches + ["fsync", "replace"]
+        fd = events[batches][1]
+        offset = vault.FILE_HEADER_SIZE
+        for _, kicked_fd, start, length in events[:batches]:
+            assert kicked_fd == fd and start == offset
+            offset += length
+        target = handle.map_path("big.bin")
+        assert offset == target.stat().st_size  # every block's writeback was started
+        _, temp, dst = events[-1]
+        assert temp.startswith(vault.TEMP_PREFIX) and dst == str(target)
+        assert handle.read_file("big.bin") == data
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_writes_round_trip_without_sync_file_range(self, make_vault, mode, monkeypatch):
+        monkeypatch.setattr(vault, "_sync_file_range", None)
+        handle = make_vault(mode)
+        data = os.urandom(2 * vault.BATCH_BLOCKS * modes.BLOCK_SIZE + 7)
+        handle.write_file("a.bin", data)
+        handle.write_file("a.bin", io.BytesIO(data[::-1]))
+        assert handle.read_file("a.bin") == data[::-1]
+
+    def test_failed_writeback_start_is_ignored(self):
+        vault._start_writeback(-1, 0, 4096)  # EBADF; the fsync that follows reports I/O errors
+
+
+class TestReplacedObjectRelease:
+    @pytest.mark.parametrize("failure", ["stream", "enospc", "replace"])
+    def test_failed_overwrite_keeps_old_version_and_holds_nothing(self, make_vault,
+                                                                  monkeypatch, failure):
+        handle = make_vault(modes.ModeId.V1)
+        old = os.urandom(2 * LARGE)
+        handle.write_file("big.bin", old)
+        target = str(handle.map_path("big.bin"))
+        baseline = _open_fds()
+        held, real_os_open = [], os.open
+
+        def recording_open(path, flags, *args, **kwargs):
+            fd = real_os_open(path, flags, *args, **kwargs)
+            if path == target:
+                held.append(fd)
+            return fd
+
+        monkeypatch.setattr(vault.os, "open", recording_open)
+        new = os.urandom(3 * LARGE)
+        if failure == "stream":
+            class Exploding(io.RawIOBase):
+                given = 0
+
+                def readinto(self, view):
+                    if self.given >= LARGE:
+                        raise RuntimeError("source failed mid-write")
+                    view[:] = new[self.given:self.given + len(view)]
+                    self.given += len(view)
+                    return len(view)
+
+            with pytest.raises(RuntimeError):
+                handle.write_file("big.bin", Exploding())
+        elif failure == "enospc":
+            class FullDisk(io.FileIO):
+                def write(self, data):
+                    if self.tell() >= vault.FILE_HEADER_SIZE:  # the header fits
+                        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                    return super().write(data)
+
+            monkeypatch.setattr(vault, "open", lambda path, mode: FullDisk(path, mode),
+                                raising=False)
+            with pytest.raises(StorageFull):
+                handle.write_file("big.bin", new)
+        else:
+            def exploding_replace(src, dst):
+                raise RuntimeError("simulated crash before rename")
+
+            monkeypatch.setattr(vault.os, "replace", exploding_replace)
+            with pytest.raises(RuntimeError):
+                handle.write_file("big.bin", new)
+            assert len(held) == 1  # the old object was held when the rename failed
+        monkeypatch.undo()
+        assert _open_fds() == baseline
+        assert handle._releasing is None
+        assert handle.read_file("big.bin") == old
+        assert not _temp_leftovers(handle, "big.bin")
+
+    def test_large_overwrites_release_off_the_caller_and_lock_waits(self, make_vault,
+                                                                    monkeypatch):
+        handle = make_vault(modes.ModeId.SEALED)
+        versions = [os.urandom(LARGE), os.urandom(LARGE + 5)]
+        handle.write_file("big.bin", versions[1])
+        closers, real_close = [], vault._close_replaced
+
+        def recording_close(fd):
+            closers.append(threading.current_thread())
+            real_close(fd)
+
+        monkeypatch.setattr(vault, "_close_replaced", recording_close)
+        baseline = _open_fds()
+        for i in range(20):
+            handle.write_file("big.bin", versions[i % 2])
+        assert handle.read_file("big.bin") == versions[1]
+        handle.lock()
+        assert _open_fds() == baseline
+        assert handle._releasing is None
+        assert len(closers) == 20
+        assert threading.main_thread() not in closers
+
+    def test_writers_on_distinct_paths_keep_one_release_pending(self, make_vault, monkeypatch):
+        handle = make_vault(modes.ModeId.V1)
+        paths = [f"t/{i}.bin" for i in range(4)]
+        versions = {p: [os.urandom(LARGE + i), os.urandom(LARGE + 9 + i)]
+                    for i, p in enumerate(paths)}
+        for p in paths:
+            handle.write_file(p, versions[p][1])
+        guard = threading.Lock()
+        pending, peak, errors = [0], [0], []
+        real_close = vault._close_replaced
+
+        def slow_close(fd):
+            with guard:
+                pending[0] += 1
+                peak[0] = max(peak[0], pending[0])
+            time.sleep(0.005)
+            real_close(fd)
+            with guard:
+                pending[0] -= 1
+
+        def work(p):
+            try:
+                for r in range(3):
+                    handle.write_file(p, versions[p][r % 2])
+            except Exception as exc:  # pragma: no cover
+                errors.append(exc)
+
+        monkeypatch.setattr(vault, "_close_replaced", slow_close)
+        baseline = _open_fds()
+        threads = [threading.Thread(target=work, args=(p,)) for p in paths]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        for p in paths:
+            assert handle.read_file(p) == versions[p][0]
+        handle.lock()
+        assert peak[0] == 1
+        assert _open_fds() == baseline
+
+    @pytest.mark.parametrize("size", [4096, 512 * 1024])
+    def test_overwrite_of_a_batch_or_less_holds_nothing(self, make_vault, monkeypatch, size):
+        handle = make_vault(modes.ModeId.SEALED)
+        handle.write_file("small.bin", os.urandom(size))
+        closes = []
+        monkeypatch.setattr(vault, "_close_replaced", closes.append)
+        baseline = _open_fds()
+        handle.write_file("small.bin", os.urandom(size))
+        assert _open_fds() == baseline
+        assert closes == [] and handle._releasing is None
