@@ -181,11 +181,10 @@ class _Target:
         if mode is BenchMode.PLAIN:
             self.handle = None
         else:
-            vault_mode = ModeId.V1 if mode is BenchMode.V1 else ModeId.SEALED
             vault.create_vault(
                 base / "vault",
                 _BENCH_PASSWORD,
-                vault_mode,
+                ModeId(mode.value),
                 platform=platform,
                 iterations=_BENCH_KDF_ITERATIONS,
             )

@@ -11,13 +11,14 @@ Cleartext blocks are at most 32768 bytes; every block is bound to its
 position with AAD = file_id (16 bytes) | block index (u64 big-endian), so
 blocks cannot be swapped between files or reordered within one.
 
-The per-file cipher seam is `block_cipher(mode, keys, file_id)`: it is built
-once per file and returns a `BlockCipher` whose `encrypt_into`/`decrypt_into`
+The per-file cipher seam is `block_cipher(mode, key, file_id)`: it is built
+once per file from the file's 32-byte key (v1) or the enclave session
+(sealed), and returns a `BlockCipher` whose `encrypt_into`/`decrypt_into`
 work on caller buffers (memoryviews), one block at a time. The v1 cipher owns
 one reused AES-GCM context for the file key; the sealed cipher holds the
 enclave session, checks it is live on every block, and seals each block with
 a fresh key id. `encrypt_block`/`decrypt_block` are thin one-block callers
-of the same objects.
+of the same objects. The vault subclasses `MasterKeys` once per mode.
 
 Filename encryption is deterministic (AES-SIV keyed by the name key, with
 the directory id as associated data) because lookup-by-name requires the
@@ -228,13 +229,6 @@ def init_enclave(
     ).initialize()
 
 
-def _content_key(keys: MasterKeys | bytes) -> bytes:
-    key = keys.content_key if isinstance(keys, MasterKeys) else keys
-    if len(key) != 32:
-        raise ValueError("content key must be 32 bytes")
-    return key
-
-
 class BlockCipher:
     """Encrypts and decrypts the blocks of one file; built by `block_cipher`.
 
@@ -278,6 +272,8 @@ class V1BlockCipher(BlockCipher):
 
     def __init__(self, file_id: bytes, key: bytes):
         super().__init__(file_id)
+        if len(key) != 32:  # AESGCM would take 16 or 24 bytes as AES-128/192
+            raise ValueError("file key must be 32 bytes")
         self._aead = AESGCM(key)
 
     def encrypt_into(self, index: int, cleartext, out) -> int:
@@ -321,27 +317,25 @@ class SealedBlockCipher(BlockCipher):
             raise MalformedBlock(str(exc)) from None
 
 
-def block_cipher(
-    mode: ModeId, keys: MasterKeys | bytes | EnclaveSession, file_id: bytes
-) -> BlockCipher:
-    """The block cipher of one file: v1 takes MasterKeys (or a raw 32-byte
-    content key); sealed takes an initialized EnclaveSession."""
+def block_cipher(mode: ModeId, key: bytes | EnclaveSession, file_id: bytes) -> BlockCipher:
+    """The block cipher of one file: v1 takes the 32-byte file key; sealed
+    takes an initialized EnclaveSession."""
     if mode is ModeId.SEALED:
-        if not isinstance(keys, EnclaveSession):
+        if not isinstance(key, EnclaveSession):
             raise TypeError("sealed mode requires an EnclaveSession")
-        return SealedBlockCipher(file_id, keys)
-    return V1BlockCipher(file_id, _content_key(keys))
+        return SealedBlockCipher(file_id, key)
+    return V1BlockCipher(file_id, key)
 
 
 def encrypt_block(
     mode: ModeId,
-    keys: MasterKeys | bytes | EnclaveSession,
+    key: bytes | EnclaveSession,
     file_id: bytes,
     index: int,
     cleartext: bytes,
 ) -> bytes:
     """Encrypt one cleartext block (1..32768 bytes) at a given position."""
-    cipher = block_cipher(mode, keys, file_id)
+    cipher = block_cipher(mode, key, file_id)
     out = bytearray(len(cleartext) + cipher.overhead + BLOCK_SLACK)
     del out[cipher.encrypt_into(index, cleartext, memoryview(out)):]
     return bytes(out)
@@ -349,13 +343,13 @@ def encrypt_block(
 
 def decrypt_block(
     mode: ModeId,
-    keys: MasterKeys | bytes | EnclaveSession,
+    key: bytes | EnclaveSession,
     file_id: bytes,
     index: int,
     block: bytes,
 ) -> bytes:
     """Inverse of encrypt_block under the identical (file_id, index) AAD."""
-    cipher = block_cipher(mode, keys, file_id)
+    cipher = block_cipher(mode, key, file_id)
     out = bytearray(max(0, len(block) - cipher.overhead))
     cipher.decrypt_into(index, block, out)
     return bytes(out)

@@ -239,7 +239,10 @@ class RemoteStore:
 class LocalDirStore(RemoteStore):
     """Directory-backed store; versions are content digests. Each object's
     digest is kept in memory while its stat is unchanged (`_cached_digest`),
-    so listings and precondition checks hash only what changed."""
+    so listings and precondition checks hash only what changed. A put drops
+    its key's digest, so the next listing hashes the object again: trusting
+    the digest of its own put would need a stat taken after the rename and a
+    promise that no outside writer shares the store directory."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -282,10 +285,10 @@ class LocalDirStore(RemoteStore):
         return self._version_of(sha256(data).digest())
 
     def get_object(self, key: str) -> tuple[bytes, str]:
-        path = self._path(key)
-        if not path.is_file():
-            raise NotFound(f"no such object: {key!r}")
-        data = path.read_bytes()
+        try:
+            data = self._path(key).read_bytes()
+        except (FileNotFoundError, IsADirectoryError, NotADirectoryError):
+            raise NotFound(f"no such object: {key!r}") from None
         return data, self._version_of(sha256(data).digest())
 
     def list(self, prefix: str = "") -> list[tuple[str, str, int]]:

@@ -19,8 +19,13 @@ so the ciphertext size is always
 with overhead 28 (v1) or 560 (sealed). The law is invertible, which lets
 directory listings report cleartext sizes without touching file contents.
 
+A handle holds one key object, picked by mode at unlock (`_V1Keys` or
+`_SealedKeys`, both `modes.MasterKeys`). It protects and recovers the file
+key in each header, builds each file's block cipher (`modes.block_cipher`),
+and lock() destroys it, ending a sealed vault's enclave session.
+
 File contents move through one data path. Each read or write builds the
-file's block cipher once (`modes.block_cipher`) and moves a batch of up to
+file's block cipher once and moves a batch of up to
 BATCH_BLOCKS blocks at a time: writes encrypt a batch into one reused buffer
 and issue one write per batch; reads `readinto` a batch of ciphertext into
 one reused buffer and decrypt each block straight into the caller's
@@ -108,6 +113,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import modes, tee
 from .errors import (
+    AlreadyDestroyed,
     AuthenticationFailure,
     CorruptConfig,
     DirectoryNotEmpty,
@@ -158,10 +164,13 @@ _LABEL_CONTENT_KEY = b"SVCONTENTKEY"
 _LABEL_FILE_KEY = b"SVFILEKEY"
 _LABEL_DIR_ID = b"SVDIRID"
 
-_WRAPPED = 1
-_SEALED = 2
-
 _SEALED_KEY_SIZE = tee.HEADER_SIZE + 32  # sealed blob carrying a 32-byte key
+# Per mode: its vault.cfg code, also its content key's protection kind (1
+# wrapped, 2 sealed), that protection's size, and if an enclave descriptor follows.
+_CONFIG_FORMS = {
+    modes.ModeId.V1: (1, modes.WRAPPED_KEY_SIZE, False),
+    modes.ModeId.SEALED: (2, _SEALED_KEY_SIZE, True),
+}
 _DIRID_SIZE = 12 + 16 + 16  # AES-GCM nonce, the 16-byte id, tag
 
 _RECORD_HEADER = struct.Struct("<4sII")  # magic, version, count; SHA-256 trailer
@@ -288,19 +297,19 @@ class VaultConfig:
     kdf_salt: bytes
     kdf_iterations: int
     wrapped_name_key: bytes
-    protection_kind: int  # _WRAPPED or _SEALED
     content_key_protection: bytes
     enclave_measurement: bytes | None = None
     enclave_signer: bytes | None = None
 
     def to_bytes(self) -> bytes:
+        code = _CONFIG_FORMS[self.mode][0]
         body = bytearray()
         body += self.vault_id
-        body += struct.pack("<B", 1 if self.mode is modes.ModeId.V1 else 2)
+        body += struct.pack("<B", code)
         body += self.kdf_salt
         body += struct.pack("<I", self.kdf_iterations)
         body += struct.pack("<H", len(self.wrapped_name_key)) + self.wrapped_name_key
-        body += struct.pack("<B", self.protection_kind)
+        body += struct.pack("<B", code)
         body += struct.pack("<I", len(self.content_key_protection))
         body += self.content_key_protection
         if self.enclave_measurement is not None:
@@ -334,17 +343,14 @@ class VaultConfig:
                 raise CorruptConfig("trailing bytes in config body")
         except struct.error:
             raise CorruptConfig("truncated config body") from None
-        if mode_code not in (1, 2):
+        mode = next((m for m, form in _CONFIG_FORMS.items() if form[0] == mode_code), None)
+        if mode is None:
             raise CorruptConfig(f"unknown mode code {mode_code}")
-        mode = modes.ModeId.V1 if mode_code == 1 else modes.ModeId.SEALED
         if len(wrapped_name_key) != modes.WRAPPED_KEY_SIZE or len(salt) != 16:
             raise CorruptConfig("bad field sizes in config")
-        if mode is modes.ModeId.V1 and (kind != _WRAPPED or prot_len != modes.WRAPPED_KEY_SIZE):
-            raise CorruptConfig("v1 config must carry a wrapped content key")
-        if mode is modes.ModeId.SEALED and (
-            kind != _SEALED or prot_len != _SEALED_KEY_SIZE or measurement is None
-        ):
-            raise CorruptConfig("sealed config must carry a sealed content key and enclave descriptor")
+        if (kind, prot_len, measurement is not None) != _CONFIG_FORMS[mode]:
+            raise CorruptConfig(f"{mode.value} config does not carry its mode's content key "
+                                "protection and enclave descriptor")
         return cls(
             format_version=CONFIG_VERSION,
             vault_id=vault_id,
@@ -352,7 +358,6 @@ class VaultConfig:
             kdf_salt=salt,
             kdf_iterations=iterations,
             wrapped_name_key=wrapped_name_key,
-            protection_kind=kind,
             content_key_protection=protection,
             enclave_measurement=measurement,
             enclave_signer=signer,
@@ -369,7 +374,7 @@ def describe_config(config: VaultConfig) -> str:
         f"kdf:             PBKDF2-HMAC-SHA256, salt={config.kdf_salt.hex()}, "
         f"iterations={config.kdf_iterations}",
         f"name_key:        wrapped, {len(config.wrapped_name_key)} bytes",
-        f"content_key:     {'wrapped' if config.protection_kind == _WRAPPED else 'sealed'}, "
+        f"content_key:     {'wrapped' if config.mode is modes.ModeId.V1 else 'sealed'}, "
         f"{len(config.content_key_protection)} bytes",
     ]
     if config.enclave_measurement is not None:
@@ -434,10 +439,6 @@ def _read_dirid(path: str) -> bytes:
         os.close(fd)
 
 
-def _file_key_label(file_id: bytes) -> bytes:
-    return _LABEL_FILE_KEY + file_id
-
-
 def _fill(stream: BinaryIO, view: memoryview) -> int:
     """Read from `stream` until `view` is full or the stream ends; returns
     the bytes read (short reads are topped up, so only the final block of a
@@ -496,24 +497,61 @@ def _split_path(logical_path: str) -> list[str]:
     return parts
 
 
+class _V1Keys(modes.MasterKeys):
+    """v1 master keys: the content key wraps each file key (60 bytes), and
+    the file key keys the file's blocks."""
+
+    protected_size = modes.WRAPPED_KEY_SIZE
+
+    def protect(self, file_id: bytes, file_key: bytes) -> bytes:
+        return modes.wrap_key(self.content_key, file_key, _LABEL_FILE_KEY + file_id)
+
+    def recover(self, file_id: bytes, protected: bytes) -> bytes:
+        return modes.unwrap_key(self.content_key, protected, _LABEL_FILE_KEY + file_id)
+
+    def cipher(self, file_id: bytes, file_key: bytes) -> modes.BlockCipher:
+        return modes.block_cipher(modes.ModeId.V1, file_key, file_id)
+
+    def destroy(self) -> None:
+        pass
+
+
+@dataclass(frozen=True, repr=False)
+class _SealedKeys(modes.MasterKeys):
+    """sealed master keys and the vault's enclave session, which seals each
+    file key (592 bytes) and every block; destroy() ends the session."""
+
+    session: modes.EnclaveSession
+    protected_size = _SEALED_KEY_SIZE
+
+    def protect(self, file_id: bytes, file_key: bytes) -> bytes:
+        return self.session.encrypt_bytes(file_key, _LABEL_FILE_KEY + file_id).to_bytes()
+
+    def recover(self, file_id: bytes, protected: bytes) -> bytes:
+        try:
+            return self.session.decrypt_bytes(protected, _LABEL_FILE_KEY + file_id)
+        except MalformedBlob as exc:
+            raise MalformedBlock(str(exc)) from None
+
+    def cipher(self, file_id: bytes, file_key: bytes) -> modes.BlockCipher:
+        return modes.block_cipher(modes.ModeId.SEALED, self.session, file_id)
+
+    def destroy(self) -> None:
+        with suppress(AlreadyDestroyed):
+            self.session.destroy()
+
+
 class VaultHandle:
     """An unlocked vault. Obtained from unlock_vault; rejects all I/O after
     lock(). Concurrent readers are fine; writes to one logical path
     serialize on one of a fixed set of lock stripes (picked by the path's
     hash, so unrelated paths may share one)."""
 
-    def __init__(
-        self,
-        root: Path,
-        config: VaultConfig,
-        master: modes.MasterKeys,
-        session: modes.EnclaveSession | None,
-    ):
+    def __init__(self, root: Path, config: VaultConfig, master: _V1Keys | _SealedKeys):
         self.root = Path(root)
         self.config = config
         self.mode = config.mode
-        self._master: modes.MasterKeys | None = master
-        self._session = session
+        self._master: _V1Keys | _SealedKeys | None = master
         self._write_locks = tuple(threading.Lock() for _ in range(_WRITE_LOCK_STRIPES))
         # (parent dir id, name) -> (entry, its dirid path, dirid bytes, dir id)
         self._memo: dict[tuple[bytes, str], tuple] = {}
@@ -532,17 +570,13 @@ class VaultHandle:
         return self._master is None
 
     def lock(self) -> None:
-        """Drop key material, and wait until the last replaced object is
-        released; the handle rejects all further I/O."""
-        if self._session is not None:
-            try:
-                self._session.destroy()
-            except Exception:
-                pass
-            self._session = None
-        if self._master is not None:
-            modes.forget_name_key(self._master.name_key)
-        self._master = None
+        """Drop key material (ending a sealed vault's enclave session), and
+        wait until the last replaced object is released; the handle rejects
+        all further I/O."""
+        master, self._master = self._master, None
+        if master is not None:
+            master.destroy()
+            modes.forget_name_key(master.name_key)
         self._memo.clear()
         self._headers.clear()
         self._names.clear()
@@ -555,15 +589,10 @@ class VaultHandle:
     def __exit__(self, *exc) -> None:
         self.lock()
 
-    def _keys(self) -> modes.MasterKeys:
+    def _keys(self) -> _V1Keys | _SealedKeys:
         if self._master is None:
             raise VaultLocked("vault handle is locked")
         return self._master
-
-    def _block_cipher(self, file_id: bytes, file_key: bytes) -> modes.BlockCipher:
-        self._keys()
-        keys = self._session if self.mode is modes.ModeId.SEALED else file_key
-        return modes.block_cipher(self.mode, keys, file_id)
 
     # -- path resolution ----------------------------------------------------
 
@@ -689,37 +718,18 @@ class VaultHandle:
     # -- file objects --------------------------------------------------------
 
     def _build_header(self, file_id: bytes, file_key: bytes) -> bytes:
-        if self.mode is modes.ModeId.V1:
-            prot = modes.wrap_key(
-                self._keys().content_key, file_key, _file_key_label(file_id)
-            )
-        else:
-            prot = self._session.encrypt_bytes(
-                file_key, _file_key_label(file_id)
-            ).to_bytes()
-        header = file_id + prot
+        header = file_id + self._keys().protect(file_id, file_key)
         return header + bytes(FILE_HEADER_SIZE - len(header))
 
     def _parse_header(self, raw: bytes) -> tuple[bytes, bytes]:
         """Validate a 640-byte header and recover (file_id, file_key)."""
         if len(raw) < FILE_HEADER_SIZE:
             raise MalformedBlock("file object shorter than its header")
-        file_id = raw[:16]
-        prot_len = (
-            modes.WRAPPED_KEY_SIZE if self.mode is modes.ModeId.V1 else _SEALED_KEY_SIZE
-        )
-        prot = raw[16:16 + prot_len]
-        if any(raw[16 + prot_len:FILE_HEADER_SIZE]):
+        keys = self._keys()
+        file_id, end = raw[:16], 16 + keys.protected_size
+        if any(raw[end:FILE_HEADER_SIZE]):
             raise MalformedBlock("file header padding not zero")
-        if self.mode is modes.ModeId.V1:
-            file_key = modes.unwrap_key(
-                self._keys().content_key, prot, _file_key_label(file_id)
-            )
-        else:
-            try:
-                file_key = self._session.decrypt_bytes(prot, _file_key_label(file_id))
-            except MalformedBlob as exc:
-                raise MalformedBlock(str(exc)) from None
+        file_key = keys.recover(file_id, raw[16:end])
         if len(file_key) != 32:
             raise MalformedBlock("protected file key has wrong size")
         return file_id, file_key
@@ -768,7 +778,7 @@ class VaultHandle:
                 raise InvalidName(f"{parts[-1]!r} is a directory")
             file_id = os.urandom(16)
             file_key = os.urandom(32)
-            cipher = self._block_cipher(file_id, file_key)
+            cipher = self._keys().cipher(file_id, file_key)
             header = self._build_header(file_id, file_key)
             held = None
             try:
@@ -838,7 +848,7 @@ class VaultHandle:
                 )
             except ValueError as exc:
                 raise MalformedBlock(str(exc)) from None
-            return fh, self._block_cipher(file_id, file_key), size
+            return fh, self._keys().cipher(file_id, file_key), size
         except BaseException:
             fh.close()
             raise
@@ -1060,12 +1070,10 @@ def create_vault(
     wrapped_name_key = modes.wrap_key(kek, master.name_key, _LABEL_NAME_KEY)
     measurement = signer = None
     if mode is modes.ModeId.V1:
-        kind = _WRAPPED
         protection = modes.wrap_key(kek, master.content_key, _LABEL_CONTENT_KEY)
     else:
         session = _open_session(platform)
         try:
-            kind = _SEALED
             protection = session.encrypt_bytes(
                 master.content_key, _LABEL_CONTENT_KEY
             ).to_bytes()
@@ -1080,7 +1088,6 @@ def create_vault(
         kdf_salt=salt,
         kdf_iterations=iterations,
         wrapped_name_key=wrapped_name_key,
-        protection_kind=kind,
         content_key_protection=protection,
         enclave_measurement=measurement,
         enclave_signer=signer,
@@ -1114,7 +1121,6 @@ def unlock_vault(
         name_key = modes.unwrap_key(kek, config.wrapped_name_key, _LABEL_NAME_KEY)
     except AuthenticationFailure:
         raise WrongPassword("vault password is incorrect") from None
-    session = None
     if config.mode is modes.ModeId.V1:
         try:
             content_key = modes.unwrap_key(
@@ -1122,26 +1128,21 @@ def unlock_vault(
             )
         except AuthenticationFailure:
             raise WrongPassword("vault password is incorrect") from None
-    else:
-        if platform is None:
-            raise MissingPlatform("sealed vault requires a platform identity")
-        session = _open_session(platform)
-        try:
-            if (
-                session.identity.measurement != config.enclave_measurement
-                or session.identity.signer != config.enclave_signer
-            ):
-                raise UnsealFailure(
-                    "vault was sealed by a different enclave identity"
-                )
-            content_key = session.decrypt_bytes(
-                config.content_key_protection, _LABEL_CONTENT_KEY
-            )
-        except (AuthenticationFailure, SvnViolation, MalformedBlob) as exc:
-            session.destroy()
-            raise UnsealFailure(f"content key unseal failed: {exc}") from None
-        except Exception:
-            session.destroy()
-            raise
-    master = modes.MasterKeys(content_key=content_key, name_key=name_key)
-    return VaultHandle(root, config, master, session)
+        return VaultHandle(root, config, _V1Keys(content_key, name_key))
+    if platform is None:
+        raise MissingPlatform("sealed vault requires a platform identity")
+    session = _open_session(platform)
+    try:
+        if (
+            session.identity.measurement != config.enclave_measurement
+            or session.identity.signer != config.enclave_signer
+        ):
+            raise UnsealFailure("vault was sealed by a different enclave identity")
+        content_key = session.decrypt_bytes(config.content_key_protection, _LABEL_CONTENT_KEY)
+    except (AuthenticationFailure, SvnViolation, MalformedBlob) as exc:
+        session.destroy()
+        raise UnsealFailure(f"content key unseal failed: {exc}") from None
+    except Exception:
+        session.destroy()
+        raise
+    return VaultHandle(root, config, _SealedKeys(content_key, name_key, session))

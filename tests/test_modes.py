@@ -105,7 +105,7 @@ def session():
 def _keysource(mode, session):
     if mode is modes.ModeId.SEALED:
         return session
-    return modes.MasterKeys(content_key=b"\x31" * 32, name_key=b"\x32" * 32)
+    return b"\x31" * 32
 
 
 class TestBlocks:
@@ -182,6 +182,10 @@ class TestBlocks:
         key = os.urandom(32)
         block = modes.encrypt_block(modes.ModeId.V1, key, b"\x00" * 16, 0, b"raw key")
         assert modes.decrypt_block(modes.ModeId.V1, key, b"\x00" * 16, 0, block) == b"raw key"
+
+    def test_v1_rejects_short_key(self):
+        with pytest.raises(ValueError):
+            modes.encrypt_block(modes.ModeId.V1, os.urandom(16), b"\x00" * 16, 0, b"x")
 
     def test_sealed_cipher_checks_session_every_block(self):
         platform = tee.create_platform(os.urandom(32))

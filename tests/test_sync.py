@@ -214,6 +214,19 @@ class TestLocalDirStore:
             store.delete("k", precondition_version=version)
         assert store.get_object("k")[0] == b"two"
 
+    def test_get_of_object_deleted_while_read_is_not_found(self, tmp_path, monkeypatch):
+        store = sync.LocalDirStore(tmp_path / "r")
+        store.put_object("k", b"doomed")
+        real_read_bytes = Path.read_bytes
+
+        def delete_then_read(path):
+            path.unlink()
+            return real_read_bytes(path)
+
+        monkeypatch.setattr(Path, "read_bytes", delete_then_read)
+        with pytest.raises(NotFound):
+            store.get_object("k")
+
     def test_key_escape_rejected(self, tmp_path):
         store = sync.LocalDirStore(tmp_path / "r")
         with pytest.raises(ValueError):

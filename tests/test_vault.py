@@ -46,6 +46,12 @@ class TestLifecycle:
         assert handle.list_dir("/") == []
         handle.lock()
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_key_object_repr_is_redacted(self, make_vault, mode):
+        keys = make_vault(mode, name=f"v-{mode.value}")._keys()
+        assert repr(keys) == "MasterKeys(<redacted>)"
+        assert keys.content_key.hex() not in repr(keys) and keys.name_key.hex() not in repr(keys)
+
     def test_wrong_password(self, tmp_path):
         vault.create_vault(tmp_path / "v", "pw", modes.ModeId.V1,
                            iterations=TEST_ITERATIONS)
@@ -146,6 +152,58 @@ class TestConfig:
                            iterations=TEST_ITERATIONS)
         text = vault.describe_config(vault.read_config(tmp_path / "v"))
         assert "v1" in text and "PBKDF2" in text
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_golden_config_bytes(self, mode):
+        code, protection, enclave = _GOLDEN_FORMS[mode]
+        raw = _golden_config(code, code, protection, enclave)
+        config = vault.VaultConfig.from_bytes(raw)
+        assert config.format_version == 1
+        assert config.vault_id == bytes(range(16))
+        assert config.mode is mode
+        assert config.kdf_salt == bytes(range(16, 32))
+        assert config.kdf_iterations == 600_000
+        assert config.wrapped_name_key == b"\x4e" * modes.WRAPPED_KEY_SIZE
+        assert config.content_key_protection == protection
+        if enclave is None:
+            assert config.enclave_measurement is None and config.enclave_signer is None
+        else:
+            assert config.enclave_measurement + config.enclave_signer == enclave
+        assert config.to_bytes() == raw
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_kind_byte_must_match_mode(self, mode):
+        code, protection, enclave = _GOLDEN_FORMS[mode]
+        with pytest.raises(CorruptConfig):
+            vault.VaultConfig.from_bytes(_golden_config(code, 3 - code, protection, enclave))
+
+    def test_v1_config_with_enclave_descriptor_is_corrupt(self):
+        code, protection, _ = _GOLDEN_FORMS[modes.ModeId.V1]
+        enclave = _GOLDEN_FORMS[modes.ModeId.SEALED][2]
+        with pytest.raises(CorruptConfig):
+            vault.VaultConfig.from_bytes(_golden_config(code, code, protection, enclave))
+
+
+# mode -> (mode code, protected content key, enclave measurement | signer)
+_GOLDEN_FORMS = {
+    modes.ModeId.V1: (1, b"\x5a" * modes.WRAPPED_KEY_SIZE, None),
+    modes.ModeId.SEALED: (2, b"\x5b" * (tee.HEADER_SIZE + 32), b"\x6d" * 32 + b"\x73" * 32),
+}
+
+
+def _golden_config(mode_code, kind, protection, enclave):
+    """vault.cfg written out field by field from the README layout, with a
+    SHA-256 trailer computed over whatever the fields say."""
+    body = (bytes(range(16))                                   # vault id
+            + bytes([mode_code])                               # 1 v1, 2 sealed
+            + bytes(range(16, 32))                             # PBKDF2 salt
+            + (600_000).to_bytes(4, "little")                  # PBKDF2 iterations
+            + (60).to_bytes(2, "little") + b"\x4e" * 60        # wrapped name key
+            + bytes([kind])                                    # 1 wrapped, 2 sealed
+            + len(protection).to_bytes(4, "little") + protection
+            + (b"\x00" if enclave is None else b"\x01" + enclave))
+    record = b"SVC1" + (1).to_bytes(4, "little") + len(body).to_bytes(4, "little") + body
+    return record + hashlib.sha256(record).digest()
 
 
 class TestSizeLaw:
@@ -331,7 +389,7 @@ BOUNDARY_SIZES = [0, 1, 32767, 32768, 32769, 3 * 32768 + 5]
 
 def _block_keys(handle, file_key):
     """What the reference modes.encrypt_block/decrypt_block take for a file."""
-    return handle._session if handle.mode is modes.ModeId.SEALED else file_key
+    return handle._keys().session if handle.mode is modes.ModeId.SEALED else file_key
 
 
 def _read_to_bytes(handle, path, offset=0):
@@ -411,7 +469,8 @@ class TestDataPath:
         block = bytearray(raw[vault.FILE_HEADER_SIZE:vault.FILE_HEADER_SIZE + step])
         block[128:132] = (modes.BLOCK_SIZE - 1).to_bytes(4, "little")
         with pytest.raises((MalformedBlock, AuthenticationFailure)):
-            modes.decrypt_block(modes.ModeId.SEALED, handle._session, file_id, 0, bytes(block))
+            modes.decrypt_block(modes.ModeId.SEALED, handle._keys().session, file_id, 0,
+                                bytes(block))
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_lock_mid_read_stops_at_next_block(self, make_vault, mode, monkeypatch):
@@ -502,6 +561,38 @@ class TestDataPath:
         phys_dir = handle.map_path("full.bin").parent
         assert not [p for p in phys_dir.iterdir() if p.name.startswith(vault.TEMP_PREFIX)]
         assert handle.read_file("full.bin") == b"previous version"
+
+
+class TestFileHeaderLayout:
+    """The 640-byte file header, read with public functions only."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_header_layout(self, make_vault, platform, mode):
+        handle = make_vault(mode, name=f"v-{mode.value}")
+        data = random.Random(14).randbytes(modes.BLOCK_SIZE + 7)
+        handle.write_file("h.bin", data)
+        raw = handle.map_path("h.bin").read_bytes()
+        file_id, label = raw[:16], b"SVFILEKEY" + raw[:16]
+        session = None
+        if mode is modes.ModeId.V1:
+            key = modes.unwrap_key(handle._keys().content_key, raw[16:76], label)
+            assert len(key) == 32
+            padding = raw[76:640]
+        else:
+            session = key = modes.init_enclave(
+                platform, vault.VAULT_ENCLAVE_CODE, vault.VAULT_ENCLAVE_SIGNER,
+                product_id=vault.VAULT_ENCLAVE_PRODUCT_ID, isv_svn=vault.VAULT_ENCLAVE_ISV_SVN)
+            blob = raw[16:608]
+            assert int.from_bytes(blob[128:132], "little") == 32  # payload length
+            assert len(session.decrypt_bytes(blob, label)) == 32
+            padding = raw[608:640]
+        try:
+            assert padding == bytes(len(padding))
+            block = raw[640:640 + modes.BLOCK_SIZE + mode.block_overhead]
+            assert modes.decrypt_block(mode, key, file_id, 0, block) == data[:modes.BLOCK_SIZE]
+        finally:
+            if session is not None:
+                session.destroy()
 
 
 class TestTamper:
