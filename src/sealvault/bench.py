@@ -11,8 +11,8 @@ log-uniform sizes), transferred through three modes
 in both directions, each repetition on a fresh target namespace, with every
 read repetition digest-verified against the corpus before its throughput
 counts. Results go to CSV (one row per repetition) plus a per-cell
-mean/stddev summary. Transfers are single-threaded by default; an opt-in
-worker pool exists for exploration.
+mean/stddev summary. Transfers run one file at a time, in the caller's
+thread.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import os
 import shutil
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from hashlib import sha256
@@ -210,12 +209,11 @@ class _Target:
         shutil.rmtree(self.base, ignore_errors=True)
 
 
-def _timed(fn: Callable[[str], object], entries: list[str], workers: int) -> tuple[float, list]:
-    """Seconds to apply `fn` to every entry on a pool of `workers` threads
-    (one when `workers` < 1), and the results in entry order."""
+def _timed(fn: Callable[[str], object], entries: list[str]) -> tuple[float, list]:
+    """Seconds to apply `fn` to every entry in turn, and the results in
+    entry order."""
     started = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        results = list(pool.map(fn, entries))
+    results = [fn(entry) for entry in entries]
     return time.perf_counter() - started, results
 
 
@@ -235,7 +233,6 @@ def run_bench(
     staging: str | Path = "bench-staging",
     workdir: str | Path = "bench-work",
     platform: tee.PlatformIdentity | None = None,
-    parallel_workers: int = 1,
 ) -> list[BenchRecord]:
     """Run the benchmark matrix and return records in execution order.
 
@@ -266,7 +263,7 @@ def run_bench(
                             corpus,
                         )
                         try:
-                            seconds, _ = _timed(target.store, relpaths, parallel_workers)
+                            seconds, _ = _timed(target.store, relpaths)
                         finally:
                             target.close()
                         records.append(BenchRecord(
@@ -277,9 +274,9 @@ def run_bench(
                         mode, workdir / f"{mode.value}-{spec.kind.value}-r", platform, corpus
                     )
                     try:
-                        _timed(target.store, relpaths, parallel_workers)
+                        _timed(target.store, relpaths)
                         for rep in range(repetitions):
-                            seconds, blobs = _timed(target.load, relpaths, parallel_workers)
+                            seconds, blobs = _timed(target.load, relpaths)
                             _verify(mode, manifest, blobs)
                             del blobs
                             records.append(BenchRecord(

@@ -201,7 +201,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         staging=args.staging,
         workdir=args.workdir,
         platform=platform,
-        parallel_workers=args.parallel,
     )
     bench_mod.write_csv(records, args.out)
     print(bench_mod.render_summary(bench_mod.summarize(records)))
@@ -280,8 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--staging", default="bench-staging",
                    help="corpus staging directory (pick a fast medium)")
     p.add_argument("--workdir", default="bench-work")
-    p.add_argument("--parallel", type=int, default=1,
-                   help="worker pool size (1 = the default single-threaded run)")
     p.add_argument("--out", required=True, help="CSV output path")
     p.add_argument("--platform-seed-file")
     p.set_defaults(func=cmd_bench)

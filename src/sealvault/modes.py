@@ -68,6 +68,7 @@ MAX_NAME_BYTES = 160
 NAME_SUFFIX = ".sc"
 MAX_ENCODED_NAME = 255
 DEFAULT_PBKDF2_ITERATIONS = 600_000
+SEALING_POLICY = tee.SealingPolicy.MRENCLAVE  # only the same enclave build unseals
 
 # Name keys whose keyed AES-SIV `_name_siv` keeps; emptied at the cap.
 _NAME_SIV_CACHE = 16
@@ -149,14 +150,12 @@ class EnclaveSession:
         signer_identity: bytes,
         product_id: int = 1,
         isv_svn: int = 1,
-        policy: tee.SealingPolicy = tee.SealingPolicy.MRENCLAVE,
     ):
         self._platform = platform
         self._code = bytes(enclave_code)
         self._signer = bytes(signer_identity)
         self._product_id = product_id
         self._isv_svn = isv_svn
-        self.policy = policy
         self.enclave: tee.EnclaveIdentity | None = None
         self._initialized = False
         self._destroyed = False
@@ -188,16 +187,16 @@ class EnclaveSession:
 
     def encrypt_bytes(self, payload: bytes, aad: bytes = b"") -> tee.SealedBlob:
         self._require_live()
-        return tee.seal(self._platform, self.enclave, self.policy, payload, aad)
+        return tee.seal(self._platform, self.enclave, SEALING_POLICY, payload, aad)
 
     def decrypt_bytes(self, blob: tee.SealedBlob | bytes, aad: bytes = b"") -> bytes:
         self._require_live()
         return tee.unseal(self._platform, self.enclave, blob, aad)
 
     def seal_into(self, payload, aad: bytes, out) -> int:
-        """`tee.seal_into` under this session's identity and policy."""
+        """`tee.seal_into` under this session's identity and SEALING_POLICY."""
         self._require_live()
-        return tee.seal_into(self._platform, self.enclave, self.policy, payload, aad, out)
+        return tee.seal_into(self._platform, self.enclave, SEALING_POLICY, payload, aad, out)
 
     def unseal_into(self, blob, aad: bytes, out) -> int:
         """`tee.unseal_into` under this session's identity."""
@@ -221,11 +220,10 @@ def init_enclave(
     signer_identity: bytes,
     product_id: int = 1,
     isv_svn: int = 1,
-    policy: tee.SealingPolicy = tee.SealingPolicy.MRENCLAVE,
 ) -> EnclaveSession:
     """Create and initialize an enclave session for sealed-mode crypto."""
     return EnclaveSession(
-        platform, enclave_code, signer_identity, product_id, isv_svn, policy
+        platform, enclave_code, signer_identity, product_id, isv_svn
     ).initialize()
 
 

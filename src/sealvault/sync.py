@@ -4,20 +4,24 @@ The provider only ever sees ciphertext: object keys are obfuscated physical
 paths and object bytes are encrypted containers (vault.cfg is pushed too,
 since it holds only wrapped/sealed secrets). A state file of
 (key, last-synced version, local digest) records drives a three-way
-comparison:
+comparison. Each key has one of four outcomes, carried out by one function:
 
-    local changed only  -> push
-    remote changed only -> pull
-    both changed        -> the remote bytes are preserved as
-                           <key>.conflict-<version> (kept locally and
-                           pushed), then the local side wins: its content
-                           is pushed, or its deletion is applied remotely
+    neither side changed -> skip
+    local changed only   -> push: upload the local bytes, or the deletion
+    remote changed only  -> pull: store the remote bytes, or unlink the file
+    both changed         -> conflict: the remote bytes, if any, are kept as
+                            <key>.conflict-<version> (locally and remotely),
+                            then the local side wins through the same upload
 
-so no sync outcome discards a remote version without first materializing a
-conflict object. Every remote write and delete that replaces a version
-sync has seen is conditioned on that version, so a remote change that lands
-after the listing turns into a conflict, not a loss. Sync is idempotent:
-with no changes on either side, a run performs zero transfers.
+`upload` makes every put and delete of a synced key, each conditioned on
+the version sync last saw, or on absence (ABSENT) for a key it has never
+seen. A remote change that lands after the listing fails the condition and
+becomes a conflict, so no outcome discards a remote version without first
+materializing a conflict object; only conflict copies are put
+unconditionally. Sync is idempotent: with no changes on either side, a run
+performs zero transfers. A run never syncs `.tmp-` names, the CLI's
+`<vault>/.lock`, or its own state file and that file's `.lock` and `.stat`
+siblings, whatever the state file is named.
 
 A run costs what changed, not the vault size. One os.scandir walk lists
 each side (`_scan`), and a file is hashed only when its (size, mtime_ns,
@@ -38,7 +42,8 @@ The HTTP backend speaks plain object semantics: GET/PUT/DELETE on
 <base>/<key>, an opaque version in the ETag header, If-Match for a
 preconditioned PUT or DELETE (412 when the object is at another version, or,
 for a PUT, absent; a DELETE of an absent object succeeds, and a 404 to it
-counts as done), and listing via GET <base>?prefix= returning a JSON array of
+counts as done), If-None-Match: * for a create (412 when an object is
+there), and listing via GET <base>?prefix= returning a JSON array of
 {key, version, size}.
 """
 
@@ -77,7 +82,8 @@ _TEXT_LEN = struct.Struct("<I")
 # version in sync.state and the key alone in the stat cache.
 _STATE_TAIL = struct.Struct("32s")  # local digest
 _STAT_TAIL = struct.Struct("<QqqQ32s")  # size, mtime_ns, ctime_ns, inode, digest
-_EXCLUDED_NAMES = {STATE_NAME, ".lock"}
+LOCK_SUFFIX = ".lock"  # the advisory lock beside a state file, or the CLI's <vault>/.lock
+ABSENT = "*"  # a create's precondition: no object at the key (HTTP If-None-Match: *)
 
 LEAK_WINDOW = 8  # minimum leaked-substring length the opacity scan detects
 
@@ -211,7 +217,8 @@ def _read_digest(path: str) -> bytes:
 class RemoteStore:
     """Abstract object store: opaque versions, comparable for equality only.
     A preconditioned put or delete raises PreconditionFailed unless the
-    object is at that version; a delete of an absent object succeeds.
+    object is at that version, or, for ABSENT, unless there is none; a
+    delete of an absent object succeeds.
     Used as a context manager, a store is closed when the body ends."""
 
     def close(self) -> None:
@@ -277,7 +284,8 @@ class LocalDirStore(RemoteStore):
         path = self._path(key)
         with self._lock:
             if precondition_version is not None:
-                self._require(key, path, precondition_version, absent_ok=False)
+                self._require(key, path, precondition_version,
+                              absent_ok=precondition_version == ABSENT)
             path.parent.mkdir(parents=True, exist_ok=True)
             with atomic_write(path) as out:
                 out.write(data)
@@ -333,7 +341,11 @@ class HttpStore(RemoteStore):
 
     def _conditional(self, method: str, key: str, precondition_version: str | None,
                      **kwargs) -> requests.Response:
-        headers = {} if precondition_version is None else {"If-Match": precondition_version}
+        headers = {}
+        if precondition_version == ABSENT:
+            headers["If-None-Match"] = "*"
+        elif precondition_version is not None:
+            headers["If-Match"] = precondition_version
         resp = self._request(method, self._url(key), headers=headers, **kwargs)
         if resp.status_code == 412:
             raise PreconditionFailed(f"{key!r}: remote version moved")
@@ -418,15 +430,19 @@ class SyncReport:
         )
 
 
-def _local_files(root: str) -> dict[str, tuple[str, os.stat_result]]:
-    """`_scan` of the vault root without the state file and its lock and
-    stat-cache siblings, which the CLI keeps inside the root."""
-    out = {}
-    for key, found in _scan(root).items():
-        name = key.rpartition("/")[2]
-        if name not in _EXCLUDED_NAMES and not name.endswith((".lock", STAT_SUFFIX)):
-            out[key] = found
-    return out
+def _local_files(root: Path, state_path: Path) -> dict[str, tuple[str, os.stat_result]]:
+    """`_scan` of the vault root without what a run keeps there: the CLI's
+    `<vault>/.lock`, and the run's state file with its lock and stat-cache
+    siblings, whatever its name, if it lies inside the root."""
+    files = _scan(str(root))
+    files.pop(LOCK_SUFFIX, None)
+    try:
+        state_key = state_path.resolve().relative_to(root.resolve()).as_posix()
+    except ValueError:  # kept outside the root
+        return files
+    for suffix in ("", LOCK_SUFFIX, STAT_SUFFIX):
+        files.pop(state_key + suffix, None)
+    return files
 
 
 def _sanitize_version(version: str) -> str:
@@ -442,38 +458,42 @@ def sync(root: str | Path, store: RemoteStore, state: SyncState) -> SyncReport:
     raises (StoreUnreachable is retryable), and then the stat cache.
     """
     state.path.parent.mkdir(parents=True, exist_ok=True)
-    with exclusive_lock(state.path.with_name(state.path.name + ".lock"), "another sync run"):
+    with exclusive_lock(state.path.with_name(state.path.name + LOCK_SUFFIX), "another sync run"):
         return _sync_locked(Path(root), store, state)
 
 
 def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport:
     report = SyncReport()
     clock = _fs_clock(str(root))  # read before any stat, see _cached_digest
-    local = _local_files(str(root))
+    local = _local_files(root, state.path)
     cache = state.stat_cache = {k: v for k, v in state.stat_cache.items() if k in local}
     local_digests = {key: _cached_digest(cache, key, path, st, clock, _digest_file)
                      for key, (path, st) in local.items()}
     remote = {key: ver for key, ver, _size in store.list("")}
 
-    def push(key: str, precondition: str | None) -> None:
-        data = Path(local[key][0]).read_bytes()
+    def upload(key: str, precondition: str, done: list[str]) -> None:
+        """Make the remote object match the local side: put the local bytes,
+        or delete the object when the key is gone locally, in either case
+        only if the remote is at `precondition` (a version, or ABSENT), and
+        list the key in `done`. A remote that moved since it was seen fails
+        the condition, and the key goes to `conflict` instead."""
         try:
-            version = store.put_object(key, data, precondition_version=precondition)
+            if key in local:
+                data = Path(local[key][0]).read_bytes()
+                state.entries[key] = (store.put_object(key, data, precondition),
+                                      local_digests[key])
+            else:
+                store.delete(key, precondition)
+                state.entries.pop(key, None)
         except PreconditionFailed:
-            # remote moved underneath us: treat as a both-changed conflict
             conflict(key)
             return
-        state.entries[key] = (version, local_digests[key])
-        report.pushed.append(key)
+        done.append(key)
 
-    def delete(key: str, precondition: str) -> None:
-        try:
-            store.delete(key, precondition_version=precondition)
-        except PreconditionFailed:
-            conflict(key)  # changed remotely after the listing
-            return
-        state.entries.pop(key, None)
-        report.pushed.append(key)
+    def push(key: str) -> None:
+        """Only the local side changed: upload it over the version last seen."""
+        entry = state.entries.get(key)
+        upload(key, entry[0] if entry else ABSENT, report.pushed)
 
     def moved(key: str) -> bool:
         """Re-stat a key sync is about to replace or unlink locally. If the
@@ -501,10 +521,31 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
             out.write(data)
         state.entries[key] = (version, sha256(data).digest())
 
+    def pull(key: str) -> None:
+        """Only the remote side changed: store its bytes, or unlink the local
+        file when the object is gone (also when it went after the listing).
+        A local write that landed since the scan makes it a conflict."""
+        fetched = None
+        if key in remote:
+            try:
+                fetched = store.get_object(key)
+            except NotFound:
+                pass
+        if moved(key):
+            conflict(key)
+            return
+        if fetched is None:
+            _inside(root, key).unlink(missing_ok=True)
+            state.entries.pop(key, None)
+        else:
+            store_local(key, *fetched)
+        report.pulled.append(key)
+
     def conflict(key: str) -> None:
-        """Both sides changed the key. If the remote object is gone (deleted
-        after the listing), the local side is restored as a remote delete is
-        restored, or the entry is dropped when the key is deleted locally."""
+        """Both sides changed the key. The remote bytes, if any, are kept as
+        a conflict object before the local side wins. With no remote object
+        the local side is pushed back, or the entry dropped when the key is
+        deleted on both sides."""
         local_digest = local_digests.get(key)  # None: deleted locally
         try:
             data, remote_version = store.get_object(key)
@@ -512,7 +553,7 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
             if local_digest is None:
                 state.entries.pop(key, None)
             else:
-                push(key, precondition=None)
+                upload(key, ABSENT, report.pushed)
             return
         if sha256(data).digest() == local_digest:
             # both sides hold identical bytes: nothing to reconcile
@@ -520,55 +561,21 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
             return
         conflict_key = f"{key}.conflict-{_sanitize_version(remote_version)}"
         store_local(conflict_key, data, store.put_object(conflict_key, data))
-        # the local side wins the original key, unless it moved again since
-        # it was read just above; the remote copy is kept either way
-        if local_digest is None:
-            store.delete(key, precondition_version=remote_version)
-            state.entries.pop(key, None)
-        else:
-            data = Path(local[key][0]).read_bytes()
-            version = store.put_object(key, data, precondition_version=remote_version)
-            state.entries[key] = (version, local_digest)
-        report.conflicts.append(key)
+        upload(key, remote_version, report.conflicts)
 
     try:
         for key in sorted(set(local) | set(remote) | set(state.entries)):
-            entry = state.entries.get(key)
-            local_digest = local_digests.get(key)
-            remote_version = remote.get(key)
-            last_version, last_digest = entry if entry else (None, None)
-            local_changed = local_digest != last_digest
-            remote_changed = remote_version != last_version
+            last_version, last_digest = state.entries.get(key, (None, None))
+            local_changed = local_digests.get(key) != last_digest
+            remote_changed = remote.get(key) != last_version
             if not local_changed and not remote_changed:
                 continue
-            if local_changed and not remote_changed:
-                if local_digest is None:
-                    delete(key, precondition=last_version)
-                else:
-                    push(key, precondition=last_version)
-            elif remote_changed and not local_changed:
-                fetched = None
-                if remote_version is not None:
-                    try:
-                        fetched = store.get_object(key)
-                    except NotFound:
-                        pass  # deleted after the listing: pulled as a remote delete
-                if moved(key):  # a local write landed after the scan: both changed
-                    conflict(key)
-                    continue
-                if fetched is None:
-                    _inside(root, key).unlink(missing_ok=True)
-                    state.entries.pop(key, None)
-                else:
-                    store_local(key, *fetched)
-                report.pulled.append(key)
-            else:  # both sides changed
-                if local_digest is None and remote_version is None:
-                    state.entries.pop(key, None)
-                elif remote_version is None:
-                    push(key, precondition=None)  # local restores deleted remote
-                else:
-                    conflict(key)
+            if local_changed and remote_changed:
+                conflict(key)
+            elif local_changed:
+                push(key)
+            else:
+                pull(key)
     finally:
         state.save()
         state.save_stat_cache()

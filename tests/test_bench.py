@@ -111,18 +111,6 @@ class TestRunBench:
         reps = [r.rep for r in records]
         assert reps == [0, 1, 2] * 4  # execution order preserved
 
-    def test_parallel_flag(self, tmp_path):
-        records = bench.run_bench(
-            [bench.BenchMode.V1],
-            [bench.Workload(bench.WorkloadKind.TREE, 512 * 1024, file_count=8)],
-            directions=[bench.Direction.WRITE],
-            repetitions=1,
-            staging=tmp_path / "stage",
-            workdir=tmp_path / "work",
-            parallel_workers=4,
-        )
-        assert len(records) == 1
-
     def test_verification_failure_aborts(self):
         manifest = bench.Manifest(
             kind=bench.WorkloadKind.SINGLE,

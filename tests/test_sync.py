@@ -90,6 +90,10 @@ class _Handler(BaseHTTPRequestHandler):
                 self.send_response(412)
                 self.end_headers()
                 return
+        if self.headers.get("If-None-Match") == "*" and current is not None:
+            self.send_response(412)
+            self.end_headers()
+            return
         self.server.objects[key] = data
         self.send_response(200)
         self.send_header("ETag", f'"{self._version(data)}"')
@@ -162,6 +166,16 @@ class TestLocalDirStore:
         v = store.put_object("k", b"one")
         store.put_object("k", b"two", precondition_version=v)
         with pytest.raises(PreconditionFailed):
+            store.put_object("k", b"three", precondition_version=v)
+
+    def test_precondition_absent(self, tmp_path):
+        store = sync.LocalDirStore(tmp_path / "r")
+        v = store.put_object("k", b"one", precondition_version=sync.ABSENT)
+        with pytest.raises(PreconditionFailed):
+            store.put_object("k", b"two", precondition_version=sync.ABSENT)
+        assert store.get_object("k") == (b"one", v)
+        store.delete("k")
+        with pytest.raises(PreconditionFailed):  # a version needs an object there
             store.put_object("k", b"three", precondition_version=v)
 
     def test_version_tracks_content(self, tmp_path):
@@ -250,6 +264,16 @@ class TestHttpStore:
         v = store.put_object("k", b"one")
         store.put_object("k", b"two", precondition_version=v)
         with pytest.raises(PreconditionFailed):
+            store.put_object("k", b"three", precondition_version=v)
+
+    def test_if_none_match(self, http_store):
+        store = http_store()
+        v = store.put_object("k", b"one", precondition_version=sync.ABSENT)
+        with pytest.raises(PreconditionFailed):
+            store.put_object("k", b"two", precondition_version=sync.ABSENT)
+        assert store.get_object("k") == (b"one", v)
+        store.delete("k")
+        with pytest.raises(PreconditionFailed):  # a version needs an object there
             store.put_object("k", b"three", precondition_version=v)
 
     def test_if_match_delete(self, http_store):
@@ -372,6 +396,16 @@ class TestSyncState:
 
 # -- three-way sync -----------------------------------------------------------
 
+# The CLI's default state name, and another one (`sync --state <vault>/custom.state`).
+_STATE_NAMES = (sync.STATE_NAME, "custom.state")
+
+
+def _store(backend, tmp_path, request):
+    if backend == "local":
+        return sync.LocalDirStore(tmp_path / "remote")
+    return request.getfixturevalue("http_store")()
+
+
 def _fresh_vault(tmp_path, name="v"):
     root = tmp_path / name
     vault.create_vault(root, TEST_PASSWORD, modes.ModeId.V1,
@@ -395,13 +429,17 @@ class TestSync:
         assert not second.pushed and not second.pulled and not second.conflicts
 
     def test_state_file_not_pushed(self, tmp_path):
-        root, handle = _fresh_vault(tmp_path)
-        handle.write_file("x", b"data")
-        handle.lock()
-        store = sync.LocalDirStore(tmp_path / "remote")
-        sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
-        assert (root / sync.STATE_NAME).exists()
-        assert all(k != sync.STATE_NAME for k, _, _ in store.list(""))
+        # both names in one body, so the test keeps its id
+        for state_name in _STATE_NAMES:
+            root, handle = _fresh_vault(tmp_path / state_name)
+            handle.write_file("x", b"data")
+            handle.lock()
+            store = sync.LocalDirStore(tmp_path / state_name / "remote")
+            sync.sync(root, store, sync.SyncState(root / state_name))
+            assert (root / state_name).exists()
+            assert all(k != state_name for k, _, _ in store.list(""))
+            again = sync.sync(root, store, sync.SyncState(root / state_name))
+            assert _outcome(again) == ([], [], [])
 
     def test_replica_pull_reads_identical(self, tmp_path):
         root, handle = _fresh_vault(tmp_path)
@@ -756,6 +794,134 @@ class TestSync:
         again = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
         assert not again.pushed and not again.pulled and not again.conflicts
 
+    @pytest.mark.parametrize("backend", ["local", "http"])
+    def test_remote_create_between_list_and_put_survives(self, tmp_path, request, backend):
+        """A key sync has never seen is created remotely after the listing:
+        the create is conditioned on absence, so the remote bytes become a
+        conflict object and the local side wins."""
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"local create")
+        store = _store(backend, tmp_path, request)
+        listed = store.list
+
+        def list_then_create(prefix=""):
+            listing = listed(prefix)
+            store.put_object("obj", b"remote create after the listing")
+            return listing
+
+        store.list = list_then_create
+        report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        del store.list
+        assert report.conflicts == ["obj"] and not report.pushed
+        remote = {key: store.get_object(key)[0] for key, _, _ in store.list("")}
+        assert remote.pop("obj") == b"local create"
+        assert list(remote.values()) == [b"remote create after the listing"]
+        again = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        assert _outcome(again) == ([], [], [])
+
+    @pytest.mark.parametrize("backend", ["local", "http"])
+    @pytest.mark.parametrize("case", ["local edit", "delete on both sides"])
+    def test_remote_delete_listed_while_local_changed(self, tmp_path, request, backend, case):
+        """The listing already shows the key deleted remotely, and the local
+        side changed it too: a local edit goes back to the remote with no
+        conflict, a key deleted on both sides is dropped."""
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"common base")
+        store = _store(backend, tmp_path, request)
+        sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        store.delete("obj")
+        if case == "local edit":
+            (root / "obj").write_bytes(b"local edit after a remote delete")
+        else:
+            (root / "obj").unlink()
+        report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        state = sync.SyncState(root / sync.STATE_NAME)
+        if case == "local edit":
+            assert _outcome(report) == (["obj"], [], [])
+            assert [k for k, _, _ in store.list("")] == ["obj"]
+            assert store.get_object("obj")[0] == b"local edit after a remote delete"
+            assert "obj" in state.entries
+        else:
+            assert _outcome(report) == ([], [], [])
+            assert store.list("") == [] and "obj" not in state.entries
+        again = sync.sync(root, store, state)
+        assert _outcome(again) == ([], [], [])
+
+    @pytest.mark.parametrize("backend", ["local", "http"])
+    def test_remote_update_between_conflict_get_and_put_survives(self, tmp_path, request,
+                                                                  backend):
+        """The remote moves again after a conflict fetched it: the local side
+        still wins, and each remote version is kept as its own conflict object."""
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"common base")
+        store = _store(backend, tmp_path, request)
+        sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        (root / "obj").write_bytes(b"local edit")
+        store.put_object("obj", b"remote edit")
+        fetched = store.get_object
+
+        def get_then_update(key):
+            found = fetched(key)
+            if found[0] == b"remote edit":
+                store.put_object("obj", b"second remote edit")
+            return found
+
+        store.get_object = get_then_update
+        report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        del store.get_object
+        assert _outcome(report) == ([], [], ["obj"])
+        remote = {key: store.get_object(key)[0] for key, _, _ in store.list("")}
+        assert remote.pop("obj") == b"local edit"
+        assert sorted(remote.values()) == [b"remote edit", b"second remote edit"]
+        assert all(key.startswith("obj.conflict-") for key in remote)
+        again = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        assert _outcome(again) == ([], [], [])
+
+    def test_every_write_of_a_synced_key_is_conditional(self, tmp_path):
+        """Every put or delete of a key other than a conflict copy carries a
+        precondition: the version sync saw, or ABSENT for a create."""
+        root = tmp_path / "r"; root.mkdir()
+
+        class Recording(sync.LocalDirStore):
+            def __init__(self, root):
+                super().__init__(root)
+                self.writes = []
+
+            def put_object(self, key, data, precondition_version=None):
+                self.writes.append(("put", key, precondition_version))
+                return super().put_object(key, data, precondition_version)
+
+            def delete(self, key, precondition_version=None):
+                self.writes.append(("delete", key, precondition_version))
+                super().delete(key, precondition_version)
+
+        store = Recording(tmp_path / "remote")
+        elsewhere = sync.LocalDirStore(store.root)  # another client, not recorded
+        for key in "abcde":
+            (root / key).write_bytes(b"base " + key.encode())
+        sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        assert store.writes == [("put", key, sync.ABSENT) for key in "abcde"]
+        store.writes.clear()
+        (root / "a").write_bytes(b"local edit")  # push over a seen version
+        (root / "b").unlink()  # delete of a seen version
+        (root / "c").write_bytes(b"local edit")  # edit on both sides
+        elsewhere.put_object("c", b"remote edit")
+        (root / "d").unlink()  # local delete, remote edit
+        elsewhere.put_object("d", b"remote edit")
+        (root / "e").write_bytes(b"local edit")  # local edit, remote delete
+        elsewhere.delete("e")
+        (root / "f").write_bytes(b"local create")
+        report = sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        assert _outcome(report) == (["a", "b", "e", "f"], [], ["c", "d"])
+        copies = [w for w in store.writes if ".conflict-" in w[1]]
+        assert [(op, pre) for op, _key, pre in copies] == [("put", None)] * 2
+        synced = [w for w in store.writes if w not in copies]
+        assert sorted((op, key) for op, key, _ in synced) == [
+            ("delete", "b"), ("delete", "d"), ("put", "a"), ("put", "c"), ("put", "e"),
+            ("put", "f")]
+        assert all(pre is not None for _op, _key, pre in synced)
+        assert sorted(key for _op, key, pre in synced if pre == sync.ABSENT) == ["e", "f"]
+
 
 # -- the stat cache -------------------------------------------------------------
 
@@ -897,15 +1063,18 @@ class TestStatCache:
         assert outcomes[0][0] == (["f0", "f1", "f4"], ["f2"], [])
 
     def test_stat_file_never_pushed(self, tmp_path):
-        root, handle = _fresh_vault(tmp_path)
-        handle.write_file("x", b"data")
-        handle.lock()
-        store = sync.LocalDirStore(tmp_path / "remote")
-        for _ in range(2):
-            sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
-            assert (root / (sync.STATE_NAME + sync.STAT_SUFFIX)).is_file()
-            keys = [k for k, _, _ in store.list("")]
-            assert keys and not [k for k in keys if k.startswith(sync.STATE_NAME)]
+        # both names in one body, so the test keeps its id
+        for state_name in _STATE_NAMES:
+            root, handle = _fresh_vault(tmp_path / state_name)
+            handle.write_file("x", b"data")
+            handle.lock()
+            store = sync.LocalDirStore(tmp_path / state_name / "remote")
+            for run in range(2):
+                report = sync.sync(root, store, sync.SyncState(root / state_name))
+                assert (root / (state_name + sync.STAT_SUFFIX)).is_file()
+                keys = [k for k, _, _ in store.list("")]
+                assert keys and not [k for k in keys if k.startswith(state_name)]
+            assert _outcome(report) == ([], [], [])  # the second run is a no-op
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_warm_and_cold_runs_decide_alike(self, tmp_path, seed):
