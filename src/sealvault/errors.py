@@ -49,10 +49,6 @@ class SessionDestroyed(VaultError):
     pass
 
 
-class AlreadyInitialized(VaultError):
-    pass
-
-
 class AlreadyDestroyed(VaultError):
     pass
 

@@ -45,7 +45,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM, AESSIV
 from . import tee
 from .errors import (
     AlreadyDestroyed,
-    AlreadyInitialized,
     AuthenticationFailure,
     BlockTooLarge,
     EmptyBlock,
@@ -135,10 +134,11 @@ def block_aad(file_id: bytes, index: int) -> bytes:
 
 
 class EnclaveSession:
-    """Handle to an initialized enclave context (the four entry points:
-    initialize, encrypt_bytes, decrypt_bytes, destroy).
+    """Handle to a live enclave context: the enclave is measured on
+    construction, and the session is unusable after destroy. Its entry
+    points are init_enclave, encrypt_bytes, decrypt_bytes and destroy; the
+    block ciphers use seal_into/unseal_into.
 
-    A session is initialized at most once and unusable after destroy.
     Concurrent encrypt/decrypt calls are safe; destroy must be exclusive
     (reader-writer contract: many crypto calls OR one destroy).
     """
@@ -152,38 +152,19 @@ class EnclaveSession:
         isv_svn: int = 1,
     ):
         self._platform = platform
-        self._code = bytes(enclave_code)
-        self._signer = bytes(signer_identity)
-        self._product_id = product_id
-        self._isv_svn = isv_svn
-        self.enclave: tee.EnclaveIdentity | None = None
-        self._initialized = False
-        self._destroyed = False
+        self.enclave: tee.EnclaveIdentity | None = tee.measure_enclave(
+            enclave_code, signer_identity, product_id, isv_svn
+        )
         self._lock = threading.Lock()
-
-    def initialize(self) -> "EnclaveSession":
-        with self._lock:
-            if self._destroyed:
-                raise SessionDestroyed("session was destroyed")
-            if self._initialized:
-                raise AlreadyInitialized("session already initialized")
-            self.enclave = tee.measure_enclave(
-                self._code, self._signer, self._product_id, self._isv_svn
-            )
-            self._initialized = True
-        return self
 
     @property
     def identity(self) -> tee.EnclaveIdentity:
         self._require_live()
-        assert self.enclave is not None
         return self.enclave
 
     def _require_live(self) -> None:
-        if self._destroyed:
+        if self.enclave is None:
             raise SessionDestroyed("session was destroyed")
-        if not self._initialized:
-            raise SessionDestroyed("session not initialized")
 
     def encrypt_bytes(self, payload: bytes, aad: bytes = b"") -> tee.SealedBlob:
         self._require_live()
@@ -206,12 +187,10 @@ class EnclaveSession:
     def destroy(self) -> None:
         """Tear the session down; drops cached key material references."""
         with self._lock:
-            if self._destroyed:
+            if self.enclave is None:
                 raise AlreadyDestroyed("session already destroyed")
-            self._destroyed = True
-            self._platform = None  # type: ignore[assignment]
-            self._code = b""
             self.enclave = None
+            self._platform = None  # type: ignore[assignment]
 
 
 def init_enclave(
@@ -221,18 +200,17 @@ def init_enclave(
     product_id: int = 1,
     isv_svn: int = 1,
 ) -> EnclaveSession:
-    """Create and initialize an enclave session for sealed-mode crypto."""
-    return EnclaveSession(
-        platform, enclave_code, signer_identity, product_id, isv_svn
-    ).initialize()
+    """A live enclave session for sealed-mode crypto."""
+    return EnclaveSession(platform, enclave_code, signer_identity, product_id, isv_svn)
 
 
 class BlockCipher:
     """Encrypts and decrypts the blocks of one file; built by `block_cipher`.
 
     `encrypt_into` writes the block for 1..32768 cleartext bytes to the start
-    of the writable memoryview `out` and returns its size (cleartext +
-    overhead); `out` needs BLOCK_SLACK scratch bytes beyond that.
+    of the writable buffer `out` (a bytearray or memoryview) and returns its
+    size (cleartext + overhead); `out` needs BLOCK_SLACK scratch bytes beyond
+    that.
     `decrypt_into` authenticates one block and writes its cleartext to `out`,
     which must be exactly len(block) - overhead bytes. Each call raises
     MalformedBlock for a block of impossible size, AuthenticationFailure on
@@ -277,9 +255,10 @@ class V1BlockCipher(BlockCipher):
     def encrypt_into(self, index: int, cleartext, out) -> int:
         size = self._check_cleartext(cleartext)
         iv = os.urandom(12)
-        out[:12] = iv
+        view = memoryview(out)  # a bytearray slice would be a copy
+        view[:12] = iv
         self._aead.encrypt_into(
-            iv, cleartext, block_aad(self.file_id, index), out[12:size + V1_BLOCK_OVERHEAD]
+            iv, cleartext, block_aad(self.file_id, index), view[12:size + V1_BLOCK_OVERHEAD]
         )
         return size + V1_BLOCK_OVERHEAD
 
@@ -317,7 +296,7 @@ class SealedBlockCipher(BlockCipher):
 
 def block_cipher(mode: ModeId, key: bytes | EnclaveSession, file_id: bytes) -> BlockCipher:
     """The block cipher of one file: v1 takes the 32-byte file key; sealed
-    takes an initialized EnclaveSession."""
+    takes an EnclaveSession."""
     if mode is ModeId.SEALED:
         if not isinstance(key, EnclaveSession):
             raise TypeError("sealed mode requires an EnclaveSession")

@@ -1,11 +1,11 @@
-"""Software simulation of TEE data sealing and local attestation.
+"""Software simulation of TEE data sealing.
 
 An "enclave" here is a module boundary with a measured identity, not a
 memory-protection boundary. A platform holds a root secret from which
-sealing keys and report keys are derived on demand (they are never stored);
-sealed payloads are AES-128-GCM containers bound to the platform and, per
-policy, to either the enclave's code measurement (MRENCLAVE) or to its
-signer + product id (MRSIGNER).
+sealing keys are derived on demand (they are never stored); sealed payloads
+are AES-128-GCM containers bound to the platform and, per policy, to either
+the enclave's code measurement (MRENCLAVE) or to its signer + product id
+(MRSIGNER).
 
 Sealed blob layout (all integers little-endian), 560-byte header followed
 by the ciphertext:
@@ -35,7 +35,9 @@ even where it does not already fail parsing.
 `seal_into`/`unseal_into` are the working core: they write a blob straight
 into, or read one straight out of, a caller's buffer. `seal`, `unseal` and
 `SealedBlob.from_bytes` are thin callers kept for whole-object use, and every
-parse of a header goes through the one check in `_check_header`.
+parse of a header goes through the one check in `_check_header`. A
+`SealedBlob` keeps the bytes it was parsed from, so `to_bytes` returns them
+as they are. Attestation, local or remote, is not simulated.
 
 All operations are pure functions of their inputs plus os.urandom; they are
 safe for unrestricted concurrent use.
@@ -48,7 +50,7 @@ import hashlib
 import hmac as _hmac
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -73,10 +75,8 @@ _PREFIX = struct.Struct("<4sIHH16s32s32s32sH2sII396s")  # the 532-byte AAD prefi
 _RESERVED_TAIL = bytes(396)
 
 _SEAL_LABEL = b"SEALKEYv1"
-_REPORT_LABEL = b"REPORTv1"
 
 _PLATFORM_DOMAIN = b"SVPLATFORMv1"
-REPORT_DATA_SIZE = 64
 
 # Platform keys whose keyed CMAC `_platform_cmac` keeps; emptied at the cap.
 _PLATFORM_CMAC_CACHE = 16
@@ -112,38 +112,6 @@ class EnclaveIdentity:
     signer: bytes  # 32-byte digest of the signer identity
     product_id: int
     isv_svn: int
-
-
-def _pack_prefix_into(
-    out: memoryview,
-    policy: SealingPolicy,
-    isv_svn: int,
-    cpu_svn: bytes,
-    key_id: bytes,
-    measurement: bytes,
-    signer: bytes,
-    product_id: int,
-    payload_len: int,
-) -> None:
-    """Write the first 532 header bytes (everything before the IV; the AAD
-    prefix) to the start of `out`."""
-    _PREFIX.pack_into(
-        out,
-        0,
-        BLOB_MAGIC,
-        BLOB_FORMAT_VERSION,
-        int(policy),
-        isv_svn,
-        cpu_svn,
-        key_id,
-        measurement,
-        signer,
-        product_id,
-        b"\x00\x00",
-        payload_len,
-        0,
-        _RESERVED_TAIL,
-    )
 
 
 def _check_header(raw) -> tuple:
@@ -197,7 +165,8 @@ def _sealed_size(payload_len: int) -> int:
 
 @dataclass(frozen=True)
 class SealedBlob:
-    """Parsed sealed container; `to_bytes` re-emits the bit-exact layout."""
+    """A structurally valid sealed blob: the header fields parsed from it,
+    and the bytes themselves, which `to_bytes` returns."""
 
     policy: SealingPolicy
     isv_svn: int
@@ -206,84 +175,40 @@ class SealedBlob:
     measurement: bytes
     signer: bytes
     product_id: int
-    iv: bytes
-    tag: bytes
-    ciphertext: bytes
+    raw: bytes = field(repr=False)
+
+    @property
+    def iv(self) -> bytes:
+        return self.raw[AAD_PREFIX_SIZE:_TAG_AT]
+
+    @property
+    def tag(self) -> bytes:
+        return self.raw[_TAG_AT:HEADER_SIZE]
+
+    @property
+    def ciphertext(self) -> bytes:
+        return self.raw[HEADER_SIZE:]
 
     def to_bytes(self) -> bytes:
-        out = bytearray(HEADER_SIZE)
-        _pack_prefix_into(
-            memoryview(out),
-            self.policy,
-            self.isv_svn,
-            self.cpu_svn,
-            self.key_id,
-            self.measurement,
-            self.signer,
-            self.product_id,
-            len(self.ciphertext),
-        )
-        out[AAD_PREFIX_SIZE:] = self.iv + self.tag
-        return bytes(out) + self.ciphertext
+        return self.raw
 
     def __len__(self) -> int:
-        return HEADER_SIZE + len(self.ciphertext)
+        return len(self.raw)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "SealedBlob":
         """Parse and structurally validate a sealed blob (see `_check_header`
         for what raises MalformedBlob)."""
         raw = bytes(raw)
-        policy, isv_svn, cpu_svn, key_id, measurement, signer, product_id = (
-            _check_header(raw)
-        )
-        return cls(
-            policy=policy,
-            isv_svn=isv_svn,
-            cpu_svn=cpu_svn,
-            key_id=key_id,
-            measurement=measurement,
-            signer=signer,
-            product_id=product_id,
-            iv=raw[AAD_PREFIX_SIZE:_TAG_AT],
-            tag=raw[_TAG_AT:HEADER_SIZE],
-            ciphertext=raw[HEADER_SIZE:],
-        )
-
-
-@dataclass(frozen=True)
-class Report:
-    """Local attestation report: identity of the reporting enclave plus a MAC
-    that only the target enclave on the same platform can recompute."""
-
-    measurement: bytes
-    signer: bytes
-    product_id: int
-    isv_svn: int
-    report_data: bytes  # 64 bytes
-    mac: bytes  # 16 bytes
-
-    def body_bytes(self) -> bytes:
-        return (
-            self.measurement
-            + self.signer
-            + struct.pack("<HH", self.product_id, self.isv_svn)
-            + self.report_data
-        )
+        return cls(*_check_header(raw), raw)
 
 
 def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-def _cmac(key: bytes, message: bytes) -> bytes:
-    c = CMAC(algorithms.AES(key))
-    c.update(message)
-    return c.finalize()
-
-
 def _platform_cmac(platform_key: bytes, message: bytes) -> bytes:
-    """`_cmac` under a platform root secret. Keying the cipher is most of a
+    """AES-CMAC under a platform root secret. Keying the cipher is most of a
     short CMAC's cost, so each platform key is keyed once and its context
     copied per call; the cache is emptied when it reaches its cap."""
     keyed = _platform_cmacs.get(platform_key)
@@ -391,16 +316,10 @@ def seal_into(
         platform, enclave, policy, key_id, enclave.isv_svn, platform.cpu_svn
     )
     view = memoryview(out)
-    _pack_prefix_into(
-        view,
-        policy,
-        enclave.isv_svn,
-        platform.cpu_svn,
-        key_id,
-        enclave.measurement,
-        enclave.signer,
-        enclave.product_id,
-        len(payload),
+    _PREFIX.pack_into(
+        view, 0, BLOB_MAGIC, BLOB_FORMAT_VERSION, int(policy), enclave.isv_svn,
+        platform.cpu_svn, key_id, enclave.measurement, enclave.signer,
+        enclave.product_id, b"\x00\x00", len(payload), 0, _RESERVED_TAIL,
     )
     view[AAD_PREFIX_SIZE:_TAG_AT] = iv
     AESGCM(key).encrypt_into(
@@ -475,49 +394,3 @@ def unseal(
     out = bytearray(max(0, len(blob) - HEADER_SIZE))
     unseal_into(platform, enclave, blob, aad, out)
     return bytes(out)
-
-
-def _report_key(platform: PlatformIdentity, target: EnclaveIdentity) -> bytes:
-    return _platform_cmac(platform.platform_key, _REPORT_LABEL + target.measurement)
-
-
-def create_report(
-    platform: PlatformIdentity,
-    self_enclave: EnclaveIdentity,
-    target: EnclaveIdentity,
-    report_data: bytes,
-) -> Report:
-    """Produce a local-attestation report about self_enclave for target.
-
-    The MAC key is derived from the platform secret and the target's
-    measurement, so only the target enclave on the same platform can verify.
-    report_data is zero-padded to 64 bytes.
-    """
-    if len(report_data) > REPORT_DATA_SIZE:
-        raise ValueError(f"report_data must be at most {REPORT_DATA_SIZE} bytes")
-    report_data = report_data.ljust(REPORT_DATA_SIZE, b"\x00")
-    body = Report(
-        measurement=self_enclave.measurement,
-        signer=self_enclave.signer,
-        product_id=self_enclave.product_id,
-        isv_svn=self_enclave.isv_svn,
-        report_data=report_data,
-        mac=b"",
-    )
-    mac = _cmac(_report_key(platform, target), body.body_bytes())
-    return Report(
-        measurement=body.measurement,
-        signer=body.signer,
-        product_id=body.product_id,
-        isv_svn=body.isv_svn,
-        report_data=report_data,
-        mac=mac,
-    )
-
-
-def verify_report(
-    platform: PlatformIdentity, target: EnclaveIdentity, report: Report
-) -> bool:
-    """True iff the report MAC recomputes under the target's report key."""
-    expected = _cmac(_report_key(platform, target), report.body_bytes())
-    return _hmac.compare_digest(expected, report.mac)

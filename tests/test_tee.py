@@ -1,9 +1,13 @@
-"""Sealing simulation: key derivation, blob format, policies, attestation."""
+"""Sealing simulation: platforms, measurement, key derivation, the sealed-blob
+format (pinned byte by byte in `TestBlobFormat::test_golden_layout`),
+policies and tamper detection."""
 
+import hashlib
 import random
 import struct
 
 import pytest
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -283,6 +287,49 @@ class TestTamperDetection:
 
 
 class TestBlobFormat:
+    @pytest.mark.parametrize("policy", [MRENCLAVE, MRSIGNER], ids=["mrenclave", "mrsigner"])
+    def test_golden_layout(self, platform, enclave, policy, monkeypatch):
+        """Every header field at its README offset, and the IV, tag and
+        ciphertext recomputed under an independent sealing-key derivation."""
+        key_id = bytes(range(32))
+        iv = bytes(range(0xA0, 0xAC))
+        monkeypatch.setattr(tee.os, "urandom", {32: key_id, 12: iv}.__getitem__)
+        payload, aad = b"golden sealed payload", b"caller aad"
+        raw = tee.seal(platform, enclave, policy, payload, aad).to_bytes()
+
+        measurement = hashlib.sha256(b"test enclave code blob").digest()
+        signer = hashlib.sha256(b"test signer").digest()
+        prefix = (
+            b"SSB1"                                # [  0..  4) magic
+            + struct.pack("<I", 1)                 # [  4..  8) format version
+            + struct.pack("<H", int(policy))       # [  8.. 10) policy
+            + struct.pack("<H", 3)                 # [ 10.. 12) isv_svn
+            + platform.cpu_svn                     # [ 12.. 28) cpu_svn
+            + key_id                               # [ 28.. 60) key id
+            + measurement                          # [ 60.. 92) measurement
+            + signer                               # [ 92..124) signer digest
+            + struct.pack("<H", 7)                 # [124..126) product id
+            + bytes(2)                             # [126..128) reserved
+            + struct.pack("<I", len(payload))      # [128..132) payload length
+            + bytes(4)                             # [132..136) aad length
+            + bytes(396)                           # [136..532) reserved
+        )
+        assert len(prefix) == 532
+        assert len(raw) == 560 + len(payload)
+        assert raw[:532] == prefix
+        assert raw[532:544] == iv
+
+        identity = measurement if policy is MRENCLAVE else signer + struct.pack("<H", 7)
+        key = oracles.aes_cmac(
+            platform.platform_key,
+            b"SEALKEYv1" + struct.pack("<H", int(policy)) + key_id
+            + struct.pack("<H", 3) + platform.cpu_svn + identity,
+        )
+        sealed = AESGCM(key).encrypt(iv, payload, prefix + aad)
+        assert raw[544:560] == sealed[-16:]
+        assert raw[560:] == sealed[:-16]
+        assert tee.SealedBlob.from_bytes(raw).to_bytes() == raw
+
     def test_parse_serialize_identity(self, platform, enclave):
         blob = tee.seal(platform, enclave, MRSIGNER, b"payload bytes", b"")
         raw = blob.to_bytes()
@@ -330,55 +377,3 @@ class TestBlobFormat:
                 platform, enclave, blob.policy, blob.key_id, blob.isv_svn, blob.cpu_svn
             )
             assert key not in raw
-
-
-class TestReports:
-    def test_roundtrip(self, platform, enclave):
-        target = tee.measure_enclave(b"verifier", b"sig", 2, 1)
-        report = tee.create_report(platform, enclave, target, b"nonce" + bytes(59))
-        assert tee.verify_report(platform, target, report)
-
-    def test_wrong_platform_rejects(self, platform, other_platform, enclave):
-        target = tee.measure_enclave(b"verifier", b"sig", 2, 1)
-        report = tee.create_report(platform, enclave, target, bytes(64))
-        assert not tee.verify_report(other_platform, target, report)
-
-    def test_wrong_target_rejects(self, platform, enclave):
-        target = tee.measure_enclave(b"verifier", b"sig", 2, 1)
-        imposter = tee.measure_enclave(b"imposter", b"sig", 2, 1)
-        report = tee.create_report(platform, enclave, target, bytes(64))
-        assert not tee.verify_report(platform, imposter, report)
-
-    def test_body_bit_flip_sweep(self, platform, enclave):
-        target = tee.measure_enclave(b"verifier", b"sig", 2, 1)
-        report = tee.create_report(platform, enclave, target, b"\xaa" * 64)
-        body = bytearray(report.body_bytes())
-        rng = random.Random(5)
-        for _ in range(40):
-            flipped = bytearray(body)
-            bit = rng.randrange(len(body) * 8)
-            flipped[bit // 8] ^= 1 << (bit % 8)
-            m = flipped[:32]
-            s = flipped[32:64]
-            product_id, isv_svn = struct.unpack_from("<HH", flipped, 64)
-            data = bytes(flipped[68:])
-            forged = tee.Report(
-                measurement=bytes(m), signer=bytes(s), product_id=product_id,
-                isv_svn=isv_svn, report_data=data, mac=report.mac,
-            )
-            assert not tee.verify_report(platform, target, forged)
-
-    def test_mac_matches_cmac_oracle(self, platform, enclave):
-        target = tee.measure_enclave(b"verifier", b"sig", 2, 1)
-        report = tee.create_report(platform, enclave, target, b"\x01" * 64)
-        report_key = oracles.aes_cmac(
-            platform.platform_key, b"REPORTv1" + target.measurement
-        )
-        assert report.mac == oracles.aes_cmac(report_key, report.body_bytes())
-
-    def test_report_data_padded(self, platform, enclave):
-        target = tee.measure_enclave(b"verifier", b"sig", 2, 1)
-        report = tee.create_report(platform, enclave, target, b"short")
-        assert len(report.report_data) == 64
-        with pytest.raises(ValueError):
-            tee.create_report(platform, enclave, target, bytes(65))

@@ -6,7 +6,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
 
-from perfbench.tracing import TARGETS, Tracer  # noqa: E402
+from conftest import TEST_PASSWORD  # noqa: E402
+from perfbench.tracing import NAME, TARGETS, Tracer  # noqa: E402
+from sealvault import modes, vault  # noqa: E402
 
 
 def test_tracer_installs_and_removes():
@@ -14,3 +16,20 @@ def test_tracer_installs_and_removes():
     with Tracer().installed():
         pass
     assert [getattr(owner, attr) for owner, attr, _name, _tag in TARGETS] == originals
+
+
+def test_sealed_file_keys_pass_through_traced_seal_and_unseal(make_vault, platform):
+    """A sealed write seals its file key, and a cold read unseals it, through
+    `tee.seal`/`tee.unseal`, so the tracer's per-call metrics see them."""
+    writer = make_vault(modes.ModeId.SEALED)
+    reader = vault.unlock_vault(writer.root, TEST_PASSWORD, platform=platform)
+    try:
+        tracer = Tracer()
+        with tracer.installed():
+            writer.write_file("f", b"sealed file")
+            written = len(tracer.spans)
+            assert reader.read_file("f") == b"sealed file"
+        assert "tee.seal" in {s[NAME] for s in tracer.spans[:written]}
+        assert "tee.unseal" in {s[NAME] for s in tracer.spans[written:]}
+    finally:
+        reader.lock()
