@@ -198,7 +198,7 @@ class _Target:
             with open(self.corpus / rel, "rb") as f:
                 self.handle.write_file(rel, f)
 
-    def load(self, rel: str) -> bytes:
+    def load(self, rel: str) -> bytes | bytearray:
         if self.handle is None:
             return (self.base / rel).read_bytes()
         return self.handle.read_file(rel)

@@ -3,36 +3,17 @@
 The full read path runs through a mount layer at both ends (request in,
 decrypted bytes out); this adapter exposes that surface as plain library
 calls so the container is testable everywhere. An actual FUSE mount is an
-optional integration that would wrap exactly this interface.
+optional integration that would wrap exactly this interface. `open` hands
+out the vault's own streaming file objects, so no call here holds a whole
+file in memory except `read` of a whole file, which returns it.
 """
 
 from __future__ import annotations
 
-import io
 import stat
 
 from .errors import NotFound
-from .vault import VaultHandle, invert_object_size
-
-
-class _WriteStream(io.BytesIO):
-    """Buffers writes and stores them into the vault on close; a `with` body
-    that raises discards them, so the old version stays."""
-
-    def __init__(self, bridge: "VaultFilesystem", path: str):
-        super().__init__()
-        self._bridge = bridge
-        self._path = path
-
-    def close(self) -> None:
-        if not self.closed:
-            self._bridge.handle.write_file(self._path, self.getvalue())
-        super().close()
-
-    def __exit__(self, exc_type, *exc) -> None:
-        if exc_type is not None:
-            super().close()  # drop the buffer without storing it
-        self.close()
+from .vault import FileReader, FileWriter, VaultHandle, invert_object_size
 
 
 class VaultFilesystem:
@@ -41,21 +22,16 @@ class VaultFilesystem:
     def __init__(self, handle: VaultHandle):
         self.handle = handle
 
-    def open(self, path: str, mode: str = "rb") -> io.BytesIO:
-        if mode == "rb":
-            stream = io.BytesIO()
-            self.handle.read_to(path, stream)
-            stream.seek(0)
-            return stream
-        if mode == "wb":
-            return _WriteStream(self, path)
-        raise ValueError(f"unsupported mode {mode!r} (use 'rb' or 'wb')")
+    def open(self, path: str, mode: str = "rb") -> FileReader | FileWriter:
+        """A seekable FileReader ("rb"), or a FileWriter ("wb") that replaces
+        the file on close and stores nothing if its `with` body raises."""
+        return self.handle.open(path, mode)
 
     def read(self, path: str, offset: int = 0, length: int | None = None) -> bytes:
         if length is None:
-            stream = io.BytesIO()
-            self.handle.read_to(path, stream, offset)
-            return stream.getvalue()
+            with self.handle.open(path) as f:
+                f.seek(offset)
+                return f.readall()
         return self.handle.read_range(path, offset, length)
 
     def listdir(self, path: str = "/") -> list[str]:

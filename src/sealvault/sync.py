@@ -98,9 +98,10 @@ def _is_temp(key: str) -> bool:
 
 
 def _inside(root: Path, key: str) -> Path:
-    """`root / key` resolved; ValueError if the key leads outside `root`."""
+    """`root / key` resolved, for a `root` already resolved; ValueError if
+    the key leads outside it (through `..` or a symlink)."""
     path = (root / key).resolve()
-    if not path.is_relative_to(root.resolve()):
+    if not path.is_relative_to(root):
         raise ValueError(f"key escapes {root}: {key!r}")
     return path
 
@@ -254,12 +255,13 @@ class LocalDirStore(RemoteStore):
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._resolved = self.root.resolve()
         self._lock = threading.Lock()
         self._digests: StatCache = {}
         self._clock: int | None = None  # read before the last listing's stats
 
     def _path(self, key: str) -> Path:
-        return _inside(self.root, key)
+        return _inside(self._resolved, key)
 
     @staticmethod
     def _version_of(digest: bytes) -> str:
@@ -385,7 +387,8 @@ class SyncState:
     """Per-key (last-synced version, local content digest), persisted as a
     versioned length-prefixed binary record beside the vault. It also holds
     the local side's stat cache (`stat_cache`), which `sync` saves to the
-    `<state name>.stat` sibling after each run."""
+    `<state name>.stat` sibling after each run. Each save skips the write
+    when the rows equal those it last read or wrote and the file is there."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -394,11 +397,14 @@ class SyncState:
             rows = _load_keyed(self.path.read_bytes(), STATE_MAGIC, STATE_VERSION,
                                2, _STATE_TAIL)
             self.entries = {key: (ver, digest) for key, ver, digest in rows}
+        self._stored_entries = dict(self.entries)
         self.stat_cache: StatCache = {}
+        self._stored_stats: StatCache | None = None
         try:  # the cache only spares hashing: a missing or damaged one is empty
             rows = _load_keyed(self.stat_path.read_bytes(), STAT_MAGIC, STAT_VERSION,
                                1, _STAT_TAIL)
             self.stat_cache = {key: (tuple(sig), digest) for key, *sig, digest in rows}
+            self._stored_stats = dict(self.stat_cache)
         except (OSError, StateCorrupt):
             pass
 
@@ -407,14 +413,20 @@ class SyncState:
         return self.path.with_name(self.path.name + STAT_SUFFIX)
 
     def save(self) -> None:
+        if self.entries == self._stored_entries and self.path.is_file():
+            return
         self.path.parent.mkdir(parents=True, exist_ok=True)
         _save_keyed(self.path, STATE_MAGIC, STATE_VERSION,
                     [(key, *value) for key, value in self.entries.items()], 2, _STATE_TAIL)
+        self._stored_entries = dict(self.entries)
 
     def save_stat_cache(self) -> None:
+        if self.stat_cache == self._stored_stats and self.stat_path.is_file():
+            return
         _save_keyed(self.stat_path, STAT_MAGIC, STAT_VERSION,
                     [(key, *sig, digest) for key, (sig, digest) in self.stat_cache.items()],
                     1, _STAT_TAIL)
+        self._stored_stats = dict(self.stat_cache)
 
 
 @dataclass
@@ -431,13 +443,13 @@ class SyncReport:
 
 
 def _local_files(root: Path, state_path: Path) -> dict[str, tuple[str, os.stat_result]]:
-    """`_scan` of the vault root without what a run keeps there: the CLI's
-    `<vault>/.lock`, and the run's state file with its lock and stat-cache
-    siblings, whatever its name, if it lies inside the root."""
+    """`_scan` of the (resolved) vault root without what a run keeps there:
+    the CLI's `<vault>/.lock`, and the run's state file with its lock and
+    stat-cache siblings, whatever its name, if it lies inside the root."""
     files = _scan(str(root))
     files.pop(LOCK_SUFFIX, None)
     try:
-        state_key = state_path.resolve().relative_to(root.resolve()).as_posix()
+        state_key = state_path.resolve().relative_to(root).as_posix()
     except ValueError:  # kept outside the root
         return files
     for suffix in ("", LOCK_SUFFIX, STAT_SUFFIX):
@@ -459,7 +471,7 @@ def sync(root: str | Path, store: RemoteStore, state: SyncState) -> SyncReport:
     """
     state.path.parent.mkdir(parents=True, exist_ok=True)
     with exclusive_lock(state.path.with_name(state.path.name + LOCK_SUFFIX), "another sync run"):
-        return _sync_locked(Path(root), store, state)
+        return _sync_locked(Path(root).resolve(), store, state)
 
 
 def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport:
@@ -495,11 +507,11 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
         entry = state.entries.get(key)
         upload(key, entry[0] if entry else ABSENT, report.pushed)
 
-    def moved(key: str) -> bool:
-        """Re-stat a key sync is about to replace or unlink locally. If the
-        file changed, appeared or went away since the scan, record it as it
-        is now in `local` and `local_digests`, and return True."""
-        path = _inside(root, key)
+    def moved(key: str, path: Path) -> bool:
+        """Re-stat a key sync is about to replace or unlink locally, at its
+        `path`. If the file changed, appeared or went away since the scan,
+        record it as it is now in `local` and `local_digests`, and return
+        True."""
         try:
             st = os.stat(path)
         except (FileNotFoundError, NotADirectoryError):
@@ -514,8 +526,7 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
             local_digests[key] = _digest_file(str(path))
         return True
 
-    def store_local(key: str, data: bytes, version: str) -> None:
-        target = _inside(root, key)
+    def store_local(key: str, target: Path, data: bytes, version: str) -> None:
         target.parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(target) as out:
             out.write(data)
@@ -531,14 +542,15 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
                 fetched = store.get_object(key)
             except NotFound:
                 pass
-        if moved(key):
+        path = _inside(root, key)
+        if moved(key, path):
             conflict(key)
             return
         if fetched is None:
-            _inside(root, key).unlink(missing_ok=True)
+            path.unlink(missing_ok=True)
             state.entries.pop(key, None)
         else:
-            store_local(key, *fetched)
+            store_local(key, path, *fetched)
         report.pulled.append(key)
 
     def conflict(key: str) -> None:
@@ -560,7 +572,8 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
             state.entries[key] = (remote_version, local_digest)
             return
         conflict_key = f"{key}.conflict-{_sanitize_version(remote_version)}"
-        store_local(conflict_key, data, store.put_object(conflict_key, data))
+        store_local(conflict_key, _inside(root, conflict_key), data,
+                    store.put_object(conflict_key, data))
         upload(key, remote_version, report.conflicts)
 
     try:

@@ -25,13 +25,16 @@ key in each header, builds each file's block cipher (`modes.block_cipher`),
 and lock() destroys it, ending a sealed vault's enclave session.
 
 File contents move through one data path. Each read or write builds the
-file's block cipher once and moves a batch of up to
-BATCH_BLOCKS blocks at a time: writes encrypt a batch into one reused buffer
-and issue one write per batch; reads `readinto` a batch of ciphertext into
-one reused buffer and decrypt each block straight into the caller's
-destination. `read_file` and `read_range` decrypt into one buffer sized to
-the request; `read_to` streams to a file-like sink, so its memory is bounded
-by the batch, not the file.
+file's block cipher once and moves a batch of up to BATCH_BLOCKS blocks at a
+time. An open file is one object: `open(path, "wb")` gives a FileWriter,
+which encrypts whole blocks straight from the caller's buffers into one
+reused batch buffer and issues one write per batch, and `open(path, "rb")`
+a FileReader, which reads a batch of ciphertext into one reused buffer and
+decrypts each block straight into the caller's buffer. `write_file` and
+`read_to` are short callers of them, so their memory, like the objects',
+is bounded by the batch, not the file. `read_file` and `read_range` open
+the object directly and decrypt into one buffer sized to the request;
+`read_file` returns that buffer, a bytearray, without copying it.
 
 vault.cfg is a length-prefixed record protected by a SHA-256 trailer; any
 bit flip surfaces as CorruptConfig before key material is touched. It
@@ -53,15 +56,18 @@ created by renaming a staged .tmp- entry into place, removed by renaming its
 entry to a .tmp- name before deleting it, and renamed by staging the new
 entry before removing the old one. So a crash at any step leaves at worst a
 .tmp- name, which listing and sync skip at any depth, or two names for one
-directory. Writes to one logical path serialize on one of a handle's
-_WRITE_LOCK_STRIPES locks, which unrelated paths may share.
+directory. A write's setup (entry, stat, cipher, header) and its
+publishing (hold the replaced object, rename, header memo) serialize per
+logical path on one of a handle's _WRITE_LOCK_STRIPES locks, which
+unrelated paths may share. No lock is held while a FileWriter's caller
+writes, so of two writers on one path the one closed last wins.
 
-write_file fsyncs the new object before the rename that publishes it, and
-starts each batch's writeback (sync_file_range) as soon as the batch is
-written, so that fsync waits only for the tail. An object larger than one
-batch that the rename replaces is held open across it and closed on the
+A FileWriter starts each batch's writeback (sync_file_range) as soon as the
+batch is written, and on close fsyncs the new object before the rename that
+publishes it, so that fsync waits only for the tail. An object larger than
+one batch that the rename replaces is held open across it and closed on the
 handle's release thread, so the kernel frees its space shortly after
-write_file returns, off the caller's path. At most one such release is
+close returns, off the caller's path. At most one such release is
 pending per handle: the next hand-off, and lock(), wait for it.
 Directories are not fsynced, so the contract is consistency after a
 process crash; a power loss may undo the latest namespace changes.
@@ -80,7 +86,7 @@ memo maps a file's physical entry to the 640 header bytes last read or
 written there and the (file id, file key) they hold: every open still reads
 the header, reuses the key only when the bytes equal the memoized bytes, and
 otherwise unwraps or unseals them as a cold read does and replaces the
-entry; write_file memoizes the header it writes. Blocks are authenticated on
+entry; a FileWriter memoizes the header it writes. Blocks are authenticated on
 every read, and the size comes from fstat. The name memo maps (dir id,
 encoded name) to the name for list_dir. AES-SIV is deterministic, so it
 needs no check on disk; only names that authenticated enter it, and a
@@ -97,6 +103,7 @@ import ctypes
 import errno
 import fcntl
 import hmac
+import io
 import os
 import shutil
 import stat
@@ -140,7 +147,8 @@ TEMP_PREFIX = ".tmp-"
 # Blocks moved per read or write batch (1 MiB of cleartext); buffers are
 # sized to the request, up to this cap.
 BATCH_BLOCKS = 32
-# Write locks per handle; a path's writes serialize on lock hash(path) % this.
+# Write locks per handle; a path's write setup and publishing serialize on lock
+# hash(path) % this.
 _WRITE_LOCK_STRIPES = 64
 # Lookup memo entries per handle; the memo is emptied when it reaches this.
 _LOOKUP_MEMO_SIZE = 4096
@@ -190,6 +198,20 @@ def _libc_sync_file_range():
 
 
 _sync_file_range = _libc_sync_file_range()
+
+
+# CPython's PyByteArray_FromStringAndSize: given a NULL source it returns a
+# new bytearray whose bytes are left as the allocator gave them, where
+# bytearray(n) zeroes them.
+_new_bytearray = ctypes.pythonapi.PyByteArray_FromStringAndSize
+_new_bytearray.argtypes = (ctypes.c_char_p, ctypes.c_ssize_t)
+_new_bytearray.restype = ctypes.py_object
+
+
+def _unzeroed(size: int) -> bytearray:
+    """A new bytearray of `size` bytes, not zeroed first: only for a caller
+    that overwrites every byte before anyone reads it, or drops it."""
+    return _new_bytearray(None, size)
 
 
 def _start_writeback(fd: int, offset: int, length: int) -> None:
@@ -463,24 +485,6 @@ def _blocks(size: int) -> int:
     return -(-size // modes.BLOCK_SIZE)
 
 
-def _cleartext_batches(content) -> Iterator[memoryview]:
-    """Cleartext in batches of whole blocks: views of in-memory content, or
-    stream reads into one reused buffer."""
-    batch = BATCH_BLOCKS * modes.BLOCK_SIZE
-    if isinstance(content, (bytes, bytearray, memoryview)):
-        data = memoryview(content).cast("B")
-        for off in range(0, len(data), batch):
-            yield data[off:off + batch]
-        return
-    buf = memoryview(bytearray(batch))
-    while True:
-        got = _fill(content, buf)
-        if got:
-            yield buf[:got]
-        if got < batch:
-            return
-
-
 def _read_buffer(cipher: modes.BlockCipher, size: int) -> memoryview:
     """Ciphertext buffer for `size` cleartext bytes, capped at a batch."""
     blocks = min(_blocks(size), BATCH_BLOCKS)
@@ -543,9 +547,9 @@ class _SealedKeys(modes.MasterKeys):
 
 class VaultHandle:
     """An unlocked vault. Obtained from unlock_vault; rejects all I/O after
-    lock(). Concurrent readers are fine; writes to one logical path
-    serialize on one of a fixed set of lock stripes (picked by the path's
-    hash, so unrelated paths may share one)."""
+    lock(). Concurrent readers are fine; the setup and the publishing of
+    writes to one logical path serialize on one of a fixed set of lock
+    stripes (picked by the path's hash, so unrelated paths may share one)."""
 
     def __init__(self, root: Path, config: VaultConfig, master: _V1Keys | _SealedKeys):
         self.root = Path(root)
@@ -734,70 +738,30 @@ class VaultHandle:
             raise MalformedBlock("protected file key has wrong size")
         return file_id, file_key
 
-    def _write_blocks(self, out: BinaryIO, cipher: modes.BlockCipher, content) -> int:
-        """Encrypt content block by block into one reused batch buffer, one
-        write per batch, and start each batch's writeback as it is written;
-        returns the cleartext bytes written."""
-        step = modes.BLOCK_SIZE + cipher.overhead
-        fd, pos = out.fileno(), out.tell()
-        buf = None
-        index = stored = 0
-        for chunk in _cleartext_batches(content):
-            if buf is None:  # the first batch is the largest
-                buf = memoryview(bytearray(_blocks(len(chunk)) * step + modes.BLOCK_SLACK))
-            used = 0
-            for off in range(0, len(chunk), modes.BLOCK_SIZE):
-                self._keys()
-                used += cipher.encrypt_into(
-                    index, chunk[off:off + modes.BLOCK_SIZE], buf[used:]
-                )
-                index += 1
-            out.write(buf[:used])
-            _start_writeback(fd, pos, used)
-            pos += used
-            stored += len(chunk)
-        return stored
+    def open(self, logical_path: str, mode: str = "rb") -> "FileReader | FileWriter":
+        """Open a stored file: "rb" gives a seekable FileReader, "wb" a
+        FileWriter that replaces the file when it closes."""
+        if mode == "rb":
+            return FileReader(self, *self._open_object(logical_path))
+        if mode == "wb":
+            return FileWriter(self, _split_path(logical_path))
+        raise ValueError(f"unsupported mode {mode!r} (use 'rb' or 'wb')")
 
     def write_file(self, logical_path: str, content: bytes | BinaryIO) -> int:
         """Encrypt and store content (a bytes-like object, or a binary stream
-        with readinto) at a logical path, creating parent directories as
-        needed. Overwrites atomically (atomic_write, fsynced before the
-        rename); a replaced object larger than one batch is freed on the
-        handle's release thread. Returns the number of cleartext bytes
-        stored."""
-        parts = _split_path(logical_path)
-        if not parts:
-            raise InvalidName("cannot write to the vault root")
-        with self._write_locks[hash("/".join(parts)) % _WRITE_LOCK_STRIPES]:
-            _, target = self._entry(parts, create=True)
-            try:
-                replaced = os.stat(target)
-            except OSError:
-                replaced = None
-            if replaced is not None and stat.S_ISDIR(replaced.st_mode):
-                raise InvalidName(f"{parts[-1]!r} is a directory")
-            file_id = os.urandom(16)
-            file_key = os.urandom(32)
-            cipher = self._keys().cipher(file_id, file_key)
-            header = self._build_header(file_id, file_key)
-            held = None
-            try:
-                with atomic_write(target) as out:
-                    out.write(header)
-                    stored = self._write_blocks(out, cipher, content)
-                    out.flush()
-                    os.fsync(out.fileno())
-                    if replaced is not None and replaced.st_size > _HOLD_REPLACED_OVER:
-                        with suppress(FileNotFoundError):
-                            held = os.open(target, os.O_RDONLY)
-            except BaseException:
-                if held is not None:
-                    os.close(held)
-                raise
-            self._remember(self._headers, target, (header, file_id, file_key))
-            if held is not None:
-                self._release(held)
-            return stored
+        with readinto) at a logical path through a FileWriter, creating
+        parent directories as needed. Bytes-like content is encrypted
+        straight from the caller's buffer. Returns the number of cleartext
+        bytes stored."""
+        with FileWriter(self, _split_path(logical_path)) as out:
+            if isinstance(content, (bytes, bytearray, memoryview)):
+                out._put(memoryview(content).cast("B"), last=True)
+            else:
+                batch = memoryview(bytearray(BATCH_BLOCKS * modes.BLOCK_SIZE))
+                while (got := _fill(content, batch)) == len(batch):
+                    out.write(batch)
+                out._put(batch[:got], last=True)
+        return out.size
 
     def _release(self, fd: int) -> None:
         """Close a replaced object's descriptor on a release thread of this
@@ -873,13 +837,14 @@ class VaultHandle:
                 index += 1
                 done = end
 
-    def read_file(self, logical_path: str) -> bytes:
-        """Decrypt a stored file back to its exact original bytes."""
+    def read_file(self, logical_path: str) -> bytearray:
+        """Decrypt a stored file back to its exact original bytes, in the
+        one buffer it decrypts into, which is not zeroed first."""
         fh, cipher, size = self._open_object(logical_path)
         with fh:
-            out = bytearray(size)
+            out = _unzeroed(size)  # _decrypt_blocks writes every byte or raises
             self._decrypt_blocks(fh, cipher, 0, memoryview(out), _read_buffer(cipher, size))
-        return bytes(out)
+        return out
 
     def read_range(self, logical_path: str, offset: int, length: int) -> bytes:
         """Random-access read at block granularity: decrypts only the blocks
@@ -908,25 +873,15 @@ class VaultHandle:
         the number of cleartext bytes written."""
         if offset < 0:
             raise ValueError("offset must be non-negative")
-        fh, cipher, size = self._open_object(logical_path)
-        with fh:
-            if offset >= size:
-                return 0
-            first = offset // modes.BLOCK_SIZE
-            fh.seek(FILE_HEADER_SIZE + first * (modes.BLOCK_SIZE + cipher.overhead))
-            remaining = size - first * modes.BLOCK_SIZE
-            buf = _read_buffer(cipher, remaining)
-            out = memoryview(bytearray(min(remaining, BATCH_BLOCKS * modes.BLOCK_SIZE)))
-            skip = offset - first * modes.BLOCK_SIZE
-            index = first
-            while remaining:
-                clear = out[:min(remaining, len(out))]
-                self._decrypt_blocks(fh, cipher, index, clear, buf)
-                stream.write(clear[skip:])
-                index += _blocks(len(clear))
-                remaining -= len(clear)
-                skip = 0
-        return size - offset
+        with self.open(logical_path) as f:
+            f.seek(offset)
+            batch = memoryview(bytearray(min(max(f.size - offset, 0),
+                                              BATCH_BLOCKS * modes.BLOCK_SIZE)))
+            total = 0
+            while got := f.readinto(batch):
+                stream.write(batch[:got])
+                total += got
+        return total
 
     def list_dir(self, logical_path: str = "/") -> list[DirEntry]:
         """List a directory. Sizes come from the ciphertext size law alone;
@@ -1026,6 +981,267 @@ class VaultHandle:
         yield base, dirs, files
         for d in dirs:
             yield from self.walk(f"{base}/{d}" if base else d)
+
+
+class FileReader(io.RawIOBase):
+    """A stored file open for reading (`VaultHandle.open(path, "rb")`).
+
+    Seekable and unbuffered: `readinto` decrypts only the blocks a read
+    covers, whole blocks straight into the caller's buffer and a batch of
+    ciphertext at a time. A block a read covers only in part is decrypted
+    into a one-block buffer and kept, so a run of small reads decrypts each
+    block once. `readinto` fills the caller's buffer up to the end of the
+    file and `readall` returns bytes, so io.BufferedReader can wrap it. It
+    reads the object it opened, even if the path is overwritten meanwhile.
+    `size` is the cleartext size. Like a file, it is for one thread at a
+    time."""
+
+    def __init__(self, handle: VaultHandle, fh: BinaryIO, cipher: modes.BlockCipher,
+                 size: int):
+        super().__init__()
+        self._handle, self._fh, self._cipher, self.size = handle, fh, cipher, size
+        self._step = modes.BLOCK_SIZE + cipher.overhead
+        self._pos = 0
+        self._at: int | None = 0  # the block `fh` is positioned at, if known
+        self._buf: memoryview | None = None  # ciphertext, up to a batch
+        self._block: memoryview | None = None  # cleartext of block _block_index
+        self._block_index: int | None = None
+
+    def readable(self) -> bool:
+        return True
+
+    def seekable(self) -> bool:
+        return True
+
+    def seek(self, offset: int, whence: int = io.SEEK_SET) -> int:
+        self._checkClosed()
+        if whence == io.SEEK_CUR:
+            offset += self._pos
+        elif whence == io.SEEK_END:
+            offset += self.size
+        elif whence != io.SEEK_SET:
+            raise ValueError(f"invalid whence {whence!r}")
+        if offset < 0:
+            raise ValueError("negative seek position")
+        self._pos = offset
+        return offset
+
+    def readinto(self, b) -> int:
+        self._checkClosed()
+        self._handle._keys()  # a locked handle reads nothing, kept block or not
+        out = memoryview(b).cast("B")
+        n = max(0, min(len(out), self.size - self._pos))
+        done = 0
+        while done < n:
+            index, skip = divmod(self._pos, modes.BLOCK_SIZE)
+            left = n - done
+            to_end = self._pos + left == self.size  # the file's short last block counts as whole
+            if skip == 0 and (to_end or left >= modes.BLOCK_SIZE):
+                take = left if to_end else left - left % modes.BLOCK_SIZE
+                self._decrypt(index, out[done:done + take])
+            else:
+                clear = self._partial(index)
+                take = min(len(clear) - skip, left)
+                out[done:done + take] = clear[skip:skip + take]
+            done += take
+            self._pos += take
+        return n
+
+    def readall(self) -> bytes:
+        out = bytearray(max(0, self.size - self._pos))
+        self.readinto(out)
+        return bytes(out)
+
+    def close(self) -> None:
+        self._fh.close()
+        super().close()
+
+    def _decrypt(self, index: int, out: memoryview) -> None:
+        """Decrypt the blocks from `index` on whose cleartext fills `out`."""
+        if self._at != index:
+            self._fh.seek(FILE_HEADER_SIZE + index * self._step)
+        need = min(_blocks(len(out)), BATCH_BLOCKS) * self._step
+        if self._buf is None or len(self._buf) < need:
+            self._buf = _read_buffer(self._cipher, len(out))
+        self._at = None  # unknown if a block fails
+        self._handle._decrypt_blocks(self._fh, self._cipher, index, out, self._buf)
+        self._at = index + _blocks(len(out))
+
+    def _partial(self, index: int) -> memoryview:
+        """The cleartext of block `index`, decrypted unless it is the kept one."""
+        length = min(modes.BLOCK_SIZE, self.size - index * modes.BLOCK_SIZE)
+        if self._block_index != index:
+            if self._block is None:
+                self._block = memoryview(bytearray(modes.BLOCK_SIZE))
+            self._block_index = None
+            self._decrypt(index, self._block[:length])
+            self._block_index = index
+        return self._block[:length]
+
+
+class FileWriter(io.RawIOBase):
+    """A file being written (`VaultHandle.open(path, "wb")`).
+
+    `write` takes pieces of any size. Whole blocks are encrypted straight
+    from the caller's buffer into one batch buffer, which is written out,
+    and its writeback started, each time it holds BATCH_BLOCKS blocks; only
+    a block still short of 32 KiB is copied, and it waits for more. The
+    blocks go to an `atomic_write` temp file. close() encrypts the last
+    block, fsyncs the temp file and renames it over the path, so readers see
+    the old version or the whole new one. A writer whose `with` body raises,
+    whose write fails, or that is dropped without close() publishes
+    nothing, and the old version stays. A replaced object larger than one
+    batch is freed on the handle's release thread.
+
+    The path's write lock is held only to set the writer up and to publish
+    it, never while the caller writes: an open writer blocks no other write,
+    it may be closed on any thread, and of two writers on one path the one
+    closed last wins."""
+
+    _atomic = None  # the atomic_write context, entered once the header is set up
+
+    def __init__(self, handle: VaultHandle, parts: list[str]):
+        super().__init__()
+        if not parts:
+            raise InvalidName("cannot write to the vault root")
+        self._handle = handle
+        self._lock = handle._write_locks[hash("/".join(parts)) % _WRITE_LOCK_STRIPES]
+        with self._lock:
+            _, self._target = handle._entry(parts, create=True)
+            try:
+                self._replaced = os.stat(self._target)
+            except OSError:
+                self._replaced = None
+            if self._replaced is not None and stat.S_ISDIR(self._replaced.st_mode):
+                raise InvalidName(f"{parts[-1]!r} is a directory")
+            file_id, file_key = os.urandom(16), os.urandom(32)
+            self._cipher = handle._keys().cipher(file_id, file_key)
+            header = handle._build_header(file_id, file_key)
+        self._header = (header, file_id, file_key)  # for the header memo
+        atomic = atomic_write(self._target)
+        self._out = atomic.__enter__()
+        self._atomic = atomic
+        self._out.write(header)  # buffered: it goes out with the first batch
+        self._step = modes.BLOCK_SIZE + self._cipher.overhead
+        self._fd, self._pos = self._out.fileno(), FILE_HEADER_SIZE
+        self._buf: memoryview | None = None  # ciphertext of the current batch
+        self._used = 0  # bytes of it filled
+        self._index = 0  # the next block's index
+        self._short = bytearray()  # cleartext of a block still short of 32 KiB
+        self.size = 0  # cleartext bytes taken
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, b) -> int:
+        self._checkClosed()
+        data = memoryview(b).cast("B")
+        try:
+            self._put(data, False)
+        except BaseException as exc:
+            self._discard(exc)
+            raise
+        return len(data)
+
+    def close(self) -> None:
+        if self._atomic is None:
+            return super().close()
+        try:
+            self._seal()
+        except BaseException as exc:
+            self._discard(exc)
+            raise
+        atomic, self._atomic = self._atomic, None
+        held = None
+        try:
+            with self._lock:
+                # `_replaced` is the stat taken at open; a writer on the same
+                # path closed since then only makes this choice less apt
+                if self._replaced is not None and self._replaced.st_size > _HOLD_REPLACED_OVER:
+                    with suppress(FileNotFoundError):
+                        held = os.open(self._target, os.O_RDONLY)
+                atomic.__exit__(None, None, None)  # the rename that publishes it
+                self._handle._remember(self._handle._headers, self._target, self._header)
+        except BaseException:
+            if held is not None:
+                os.close(held)
+            raise
+        finally:
+            super().close()
+        if held is not None:
+            self._handle._release(held)
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        elif not self.closed:
+            self._discard(exc)
+
+    def __del__(self) -> None:
+        if self._atomic is not None:
+            self._discard(VaultError("writer dropped before close()"))
+
+    def _discard(self, exc: BaseException) -> None:
+        """Remove the temp file and end the writer, publishing nothing
+        (ENOSPC surfaces as StorageFull)."""
+        atomic, self._atomic = self._atomic, None
+        try:
+            atomic.__exit__(type(exc), exc, exc.__traceback__)
+        finally:
+            super().close()
+
+    def _put(self, data: memoryview, last: bool) -> None:
+        """Take `data`; with `last`, it ends the file, so its short tail is
+        encrypted straight from it."""
+        self._handle._keys()
+        taken = len(self._short) + len(data)
+        if self._buf is None and (taken >= modes.BLOCK_SIZE or last and taken):
+            # sized once: a whole batch, or what the file needs if that is less
+            blocks = min(_blocks(taken), BATCH_BLOCKS) if last else BATCH_BLOCKS
+            self._buf = memoryview(bytearray(blocks * self._step + modes.BLOCK_SLACK))
+        self.size += len(data)
+        if self._short:
+            take = modes.BLOCK_SIZE - len(self._short)
+            self._short += data[:take]
+            data = data[take:]
+            if len(self._short) < modes.BLOCK_SIZE and not last:
+                return
+            self._encrypt(memoryview(self._short))
+            self._short = bytearray()
+        whole = len(data) if last else len(data) - len(data) % modes.BLOCK_SIZE
+        self._encrypt(data[:whole])
+        self._short += data[whole:]
+
+    def _encrypt(self, data: memoryview) -> None:
+        """Encrypt `data` block by block (only the file's last block may be
+        short) into the batch buffer, writing it out each time it holds
+        BATCH_BLOCKS blocks."""
+        cipher, keys, buf = self._cipher, self._handle._keys, self._buf
+        index, used = self._index, self._used
+        for off in range(0, len(data), modes.BLOCK_SIZE):
+            keys()
+            used += cipher.encrypt_into(index, data[off:off + modes.BLOCK_SIZE], buf[used:])
+            index += 1
+            if index % BATCH_BLOCKS == 0:
+                self._flush(used)
+                used = 0
+        self._index, self._used = index, used
+
+    def _flush(self, used: int) -> None:
+        """Write the batch buffer's `used` bytes and start their writeback."""
+        self._out.write(self._buf[:used])
+        _start_writeback(self._fd, self._pos, used)
+        self._pos += used
+
+    def _seal(self) -> None:
+        """Encrypt the last block, write the rest out and fsync it."""
+        if self._short:
+            self._put(memoryview(b""), True)
+        if self._used:
+            self._flush(self._used)
+            self._used = 0
+        self._out.flush()
+        os.fsync(self._fd)
 
 
 def _require_empty_target(root: Path) -> None:

@@ -1,5 +1,7 @@
 """Filesystem-bridge adapter over an unlocked vault."""
 
+import io
+
 import pytest
 
 from sealvault import modes, vault
@@ -32,6 +34,22 @@ def test_failed_write_keeps_old_version(fs):
     with fs.open("doc.txt", "wb") as f:
         f.write(b"the new version")
     assert fs.handle.read_file("doc.txt") == b"the new version"
+
+
+def test_open_gives_the_vaults_streaming_objects(fs):
+    data = bytes(range(256)) * 300
+    with fs.open("blob", "wb") as f:
+        assert isinstance(f, vault.FileWriter)
+        for off in range(0, len(data), 7000):
+            f.write(data[off:off + 7000])
+    with fs.open("blob", "rb") as f:
+        assert isinstance(f, vault.FileReader) and f.seekable()
+        f.seek(-100, io.SEEK_END)
+        assert f.read() == data[-100:]
+    with io.BufferedReader(fs.open("blob", "rb")) as f:
+        f.seek(1000)
+        assert f.read(5000) == data[1000:6000]
+        assert f.read() == data[6000:]
 
 
 def test_partial_reads(fs):

@@ -246,6 +246,19 @@ class TestLocalDirStore:
         with pytest.raises(ValueError):
             store.put_object("../outside", b"x")
 
+    def test_symlinked_key_escape_rejected(self, tmp_path):
+        outside = tmp_path / "outside"; outside.mkdir()
+        (outside / "secret").write_bytes(b"not the store's")
+        store = sync.LocalDirStore(tmp_path / "r")
+        (store.root / "link").symlink_to(outside, target_is_directory=True)
+        with pytest.raises(ValueError):
+            store.put_object("link/x", b"x")
+        with pytest.raises(ValueError):
+            store.get_object("link/secret")
+        with pytest.raises(ValueError):
+            store.delete("link/secret")
+        assert sorted(p.name for p in outside.iterdir()) == ["secret"]
+
 
 class TestHttpStore:
     def test_roundtrip(self, http_store):
@@ -512,6 +525,16 @@ class TestSync:
         with pytest.raises(ValueError):
             sync.sync(root, EvilStore(), sync.SyncState(root / sync.STATE_NAME))
         assert not (tmp_path / "escaped-file").exists()
+
+    def test_pull_through_symlinked_directory_rejected(self, tmp_path):
+        root = tmp_path / "r"; root.mkdir()
+        outside = tmp_path / "outside"; outside.mkdir()
+        (root / "sub").symlink_to(outside, target_is_directory=True)
+        store = sync.LocalDirStore(tmp_path / "remote")
+        store.put_object("sub/x", b"remote bytes")
+        with pytest.raises(ValueError):
+            sync.sync(root, store, sync.SyncState(root / sync.STATE_NAME))
+        assert not list(outside.iterdir())
 
     def test_remote_only_change_pulls(self, tmp_path):
         root = tmp_path / "r"
@@ -977,6 +1000,64 @@ def hashed(monkeypatch):
 
 def _outcome(report):
     return sorted(report.pushed), sorted(report.pulled), sorted(report.conflicts)
+
+
+def _stamp(path):
+    st = os.stat(path)
+    return st.st_ino, st.st_mtime_ns
+
+
+class TestStateWrites:
+    """A run rewrites the state file and its stat cache only when their rows
+    changed, or when the file is gone."""
+
+    def test_noop_run_leaves_both_files_untouched(self, tmp_path):
+        root, handle = _fresh_vault(tmp_path)
+        handle.write_file("one.bin", os.urandom(1000))
+        handle.lock()
+        store = sync.LocalDirStore(tmp_path / "remote")
+        state = sync.SyncState(root / sync.STATE_NAME)
+        sync.sync(root, store, state)
+        _settle(root, store.root)
+        sync.sync(root, store, state)  # caches the settled stats
+        before = _stamp(state.path), _stamp(state.stat_path)
+        _settle(root)  # a rewrite now would move the mtime
+        report = sync.sync(root, store, state)
+        assert not report.pushed and not report.pulled and not report.conflicts
+        assert (_stamp(state.path), _stamp(state.stat_path)) == before
+        fresh = sync.SyncState(root / sync.STATE_NAME)  # loaded rows count as written
+        sync.sync(root, store, fresh)
+        assert (_stamp(state.path), _stamp(state.stat_path)) == before
+
+    def test_deleted_files_are_written_again(self, tmp_path):
+        root, handle = _fresh_vault(tmp_path)
+        handle.lock()
+        store = sync.LocalDirStore(tmp_path / "remote")
+        state = sync.SyncState(root / sync.STATE_NAME)
+        sync.sync(root, store, state)
+        entries = dict(state.entries)
+        state.path.unlink()
+        state.stat_path.unlink()
+        sync.sync(root, store, state)
+        assert sync.SyncState(state.path).entries == entries
+        assert state.stat_path.is_file()
+
+    def test_first_run_on_empty_vault_writes_state(self, tmp_path):
+        root = tmp_path / "empty"; root.mkdir()
+        state = sync.SyncState(root / sync.STATE_NAME)
+        report = sync.sync(root, sync.LocalDirStore(tmp_path / "remote"), state)
+        assert not report.pushed
+        assert state.path.is_file() and state.stat_path.is_file()
+        assert sync.SyncState(state.path).entries == {}
+
+    def test_changed_rows_are_written(self, tmp_path):
+        root = tmp_path / "r"; root.mkdir()
+        store = sync.LocalDirStore(tmp_path / "remote")
+        state = sync.SyncState(root / sync.STATE_NAME)
+        sync.sync(root, store, state)
+        (root / "obj").write_bytes(b"new")
+        sync.sync(root, store, state)
+        assert set(sync.SyncState(state.path).entries) == {"obj"}
 
 
 class TestStatCache:
