@@ -56,11 +56,9 @@ created by renaming a staged .tmp- entry into place, removed by renaming its
 entry to a .tmp- name before deleting it, and renamed by staging the new
 entry before removing the old one. So a crash at any step leaves at worst a
 .tmp- name, which listing and sync skip at any depth, or two names for one
-directory. A write's setup (entry, stat, cipher, header) and its
-publishing (hold the replaced object, rename, header memo) serialize per
-logical path on one of a handle's _WRITE_LOCK_STRIPES locks, which
-unrelated paths may share. No lock is held while a FileWriter's caller
-writes, so of two writers on one path the one closed last wins.
+directory. Writes take no lock: each FileWriter sets up its own temp
+file, cipher and header, so writes to one path may overlap from setup to
+rename, and the last rename wins.
 
 A FileWriter starts each batch's writeback (sync_file_range) as soon as the
 batch is written, and on close fsyncs the new object before the rename that
@@ -147,9 +145,6 @@ TEMP_PREFIX = ".tmp-"
 # Blocks moved per read or write batch (1 MiB of cleartext); buffers are
 # sized to the request, up to this cap.
 BATCH_BLOCKS = 32
-# Write locks per handle; a path's write setup and publishing serialize on lock
-# hash(path) % this.
-_WRITE_LOCK_STRIPES = 64
 # Lookup memo entries per handle; the memo is emptied when it reaches this.
 _LOOKUP_MEMO_SIZE = 4096
 # write_file holds a replaced object larger than this (one batch of blocks)
@@ -461,24 +456,15 @@ def _read_dirid(path: str) -> bytes:
         os.close(fd)
 
 
-def _fill(stream: BinaryIO, view: memoryview) -> int:
-    """Read from `stream` until `view` is full or the stream ends; returns
-    the bytes read (short reads are topped up, so only the final block of a
-    stream may be partial)."""
+def _read_exact(fh: BinaryIO, view: memoryview) -> None:
+    """Fill `view` from `fh`, topping up short reads; a short object is
+    malformed, since every size read here comes from the size law."""
     filled = 0
     while filled < len(view):
-        got = stream.readinto(view[filled:])
+        got = fh.readinto(view[filled:])
         if not got:
-            break
+            raise MalformedBlock("file object ends before its last block")
         filled += got
-    return filled
-
-
-def _read_exact(fh: BinaryIO, view: memoryview) -> None:
-    """Fill `view` from `fh`; a short object is malformed, since every size
-    read here comes from the size law."""
-    if _fill(fh, view) != len(view):
-        raise MalformedBlock("file object ends before its last block")
 
 
 def _blocks(size: int) -> int:
@@ -547,16 +533,14 @@ class _SealedKeys(modes.MasterKeys):
 
 class VaultHandle:
     """An unlocked vault. Obtained from unlock_vault; rejects all I/O after
-    lock(). Concurrent readers are fine; the setup and the publishing of
-    writes to one logical path serialize on one of a fixed set of lock
-    stripes (picked by the path's hash, so unrelated paths may share one)."""
+    lock(). Concurrent readers and writers are fine and take no lock; writes
+    to one logical path may overlap, and the last rename wins."""
 
     def __init__(self, root: Path, config: VaultConfig, master: _V1Keys | _SealedKeys):
         self.root = Path(root)
         self.config = config
         self.mode = config.mode
         self._master: _V1Keys | _SealedKeys | None = master
-        self._write_locks = tuple(threading.Lock() for _ in range(_WRITE_LOCK_STRIPES))
         # (parent dir id, name) -> (entry, its dirid path, dirid bytes, dir id)
         self._memo: dict[tuple[bytes, str], tuple] = {}
         # file entry -> (header bytes, file id, file key)
@@ -755,12 +739,11 @@ class VaultHandle:
         bytes stored."""
         with FileWriter(self, _split_path(logical_path)) as out:
             if isinstance(content, (bytes, bytearray, memoryview)):
-                out._put(memoryview(content).cast("B"), last=True)
+                out.write(content)
             else:
                 batch = memoryview(bytearray(BATCH_BLOCKS * modes.BLOCK_SIZE))
-                while (got := _fill(content, batch)) == len(batch):
-                    out.write(batch)
-                out._put(batch[:got], last=True)
+                while got := content.readinto(batch):
+                    out.write(batch[:got])
         return out.size
 
     def _release(self, fd: int) -> None:
@@ -1093,10 +1076,9 @@ class FileWriter(io.RawIOBase):
     nothing, and the old version stays. A replaced object larger than one
     batch is freed on the handle's release thread.
 
-    The path's write lock is held only to set the writer up and to publish
-    it, never while the caller writes: an open writer blocks no other write,
-    it may be closed on any thread, and of two writers on one path the one
-    closed last wins."""
+    A writer takes no lock: an open writer blocks no other write, it may be
+    closed on any thread, and of two writers on one path the one whose
+    rename comes last wins."""
 
     _atomic = None  # the atomic_write context, entered once the header is set up
 
@@ -1105,18 +1087,16 @@ class FileWriter(io.RawIOBase):
         if not parts:
             raise InvalidName("cannot write to the vault root")
         self._handle = handle
-        self._lock = handle._write_locks[hash("/".join(parts)) % _WRITE_LOCK_STRIPES]
-        with self._lock:
-            _, self._target = handle._entry(parts, create=True)
-            try:
-                self._replaced = os.stat(self._target)
-            except OSError:
-                self._replaced = None
-            if self._replaced is not None and stat.S_ISDIR(self._replaced.st_mode):
-                raise InvalidName(f"{parts[-1]!r} is a directory")
-            file_id, file_key = os.urandom(16), os.urandom(32)
-            self._cipher = handle._keys().cipher(file_id, file_key)
-            header = handle._build_header(file_id, file_key)
+        _, self._target = handle._entry(parts, create=True)
+        try:
+            self._replaced = os.stat(self._target)
+        except OSError:
+            self._replaced = None
+        if self._replaced is not None and stat.S_ISDIR(self._replaced.st_mode):
+            raise InvalidName(f"{parts[-1]!r} is a directory")
+        file_id, file_key = os.urandom(16), os.urandom(32)
+        self._cipher = handle._keys().cipher(file_id, file_key)
+        header = handle._build_header(file_id, file_key)
         self._header = (header, file_id, file_key)  # for the header memo
         atomic = atomic_write(self._target)
         self._out = atomic.__enter__()
@@ -1137,7 +1117,7 @@ class FileWriter(io.RawIOBase):
         self._checkClosed()
         data = memoryview(b).cast("B")
         try:
-            self._put(data, False)
+            self._put(data)
         except BaseException as exc:
             self._discard(exc)
             raise
@@ -1154,14 +1134,15 @@ class FileWriter(io.RawIOBase):
         atomic, self._atomic = self._atomic, None
         held = None
         try:
-            with self._lock:
-                # `_replaced` is the stat taken at open; a writer on the same
-                # path closed since then only makes this choice less apt
-                if self._replaced is not None and self._replaced.st_size > _HOLD_REPLACED_OVER:
-                    with suppress(FileNotFoundError):
-                        held = os.open(self._target, os.O_RDONLY)
-                atomic.__exit__(None, None, None)  # the rename that publishes it
-                self._handle._remember(self._handle._headers, self._target, self._header)
+            # `_replaced` is the stat taken at open; a writer on the same path
+            # closed since then only makes this choice less apt
+            if self._replaced is not None and self._replaced.st_size > _HOLD_REPLACED_OVER:
+                with suppress(FileNotFoundError):
+                    held = os.open(self._target, os.O_RDONLY)
+            atomic.__exit__(None, None, None)  # the rename that publishes it
+            # a concurrent writer's rename may land before this memo; the memo
+            # is used only when the header read at open equals these bytes
+            self._handle._remember(self._handle._headers, self._target, self._header)
         except BaseException:
             if held is not None:
                 os.close(held)
@@ -1190,25 +1171,20 @@ class FileWriter(io.RawIOBase):
         finally:
             super().close()
 
-    def _put(self, data: memoryview, last: bool) -> None:
-        """Take `data`; with `last`, it ends the file, so its short tail is
-        encrypted straight from it."""
+    def _put(self, data: memoryview) -> None:
+        """Take `data`: encrypt its whole blocks straight from it, and copy a
+        block still short of 32 KiB to wait for more."""
         self._handle._keys()
-        taken = len(self._short) + len(data)
-        if self._buf is None and (taken >= modes.BLOCK_SIZE or last and taken):
-            # sized once: a whole batch, or what the file needs if that is less
-            blocks = min(_blocks(taken), BATCH_BLOCKS) if last else BATCH_BLOCKS
-            self._buf = memoryview(bytearray(blocks * self._step + modes.BLOCK_SLACK))
         self.size += len(data)
         if self._short:
             take = modes.BLOCK_SIZE - len(self._short)
             self._short += data[:take]
             data = data[take:]
-            if len(self._short) < modes.BLOCK_SIZE and not last:
+            if len(self._short) < modes.BLOCK_SIZE:
                 return
             self._encrypt(memoryview(self._short))
             self._short = bytearray()
-        whole = len(data) if last else len(data) - len(data) % modes.BLOCK_SIZE
+        whole = len(data) - len(data) % modes.BLOCK_SIZE
         self._encrypt(data[:whole])
         self._short += data[whole:]
 
@@ -1216,6 +1192,13 @@ class FileWriter(io.RawIOBase):
         """Encrypt `data` block by block (only the file's last block may be
         short) into the batch buffer, writing it out each time it holds
         BATCH_BLOCKS blocks."""
+        if self._buf is None and data:
+            # Allocated once, at the first encrypt: one block if that is the
+            # short tail close() encrypts (a one-block file), else a batch.
+            # Not zeroed: only buf[:used] is written out, and every byte of
+            # it was just encrypted.
+            blocks = 1 if len(data) < modes.BLOCK_SIZE else BATCH_BLOCKS
+            self._buf = memoryview(_unzeroed(blocks * self._step + modes.BLOCK_SLACK))
         cipher, keys, buf = self._cipher, self._handle._keys, self._buf
         index, used = self._index, self._used
         for off in range(0, len(data), modes.BLOCK_SIZE):
@@ -1235,11 +1218,9 @@ class FileWriter(io.RawIOBase):
 
     def _seal(self) -> None:
         """Encrypt the last block, write the rest out and fsync it."""
-        if self._short:
-            self._put(memoryview(b""), True)
+        self._encrypt(memoryview(self._short))
         if self._used:
             self._flush(self._used)
-            self._used = 0
         self._out.flush()
         os.fsync(self._fd)
 

@@ -177,20 +177,16 @@ class TestFailures:
 
     def test_open_writers_block_no_other_write(self, make_vault):
         handle = make_vault(modes.ModeId.V1)
-        stripe = lambda path: hash(path) % vault._WRITE_LOCK_STRIPES  # noqa: E731
-        a = "same"
-        b = next(f"other/{i}" for i in range(10_000) if stripe(f"other/{i}") == stripe(a))
-        held = handle.open(a, "wb")
+        held = handle.open("same", "wb")
         held.write(b"held open")
-        for path in (a, b):  # the same path, and another on the same stripe
-            other = threading.Thread(target=handle.write_file, args=(path, b"meanwhile"),
-                                     daemon=True)
-            other.start()
-            other.join(timeout=10)
-            assert not other.is_alive()
-            assert handle.read_file(path) == b"meanwhile"
+        other = threading.Thread(target=handle.write_file, args=("same", b"meanwhile"),
+                                 daemon=True)
+        other.start()
+        other.join(timeout=10)
+        assert not other.is_alive()
+        assert handle.read_file("same") == b"meanwhile"
         held.close()
-        assert handle.read_file(a) == b"held open"  # closed last, so it wins
+        assert handle.read_file("same") == b"held open"  # closed last, so it wins
 
     def test_threads_open_writers_on_crossed_paths(self, make_vault):
         handle = make_vault(modes.ModeId.V1)
@@ -224,7 +220,7 @@ class TestFailures:
         closer.join(timeout=10)
         assert not closer.is_alive() and out.closed
         assert handle.read_file("f") == data
-        handle.write_file("f", b"after")  # the path's lock is free on this thread
+        handle.write_file("f", b"after")
         assert handle.read_file("f") == b"after"
         dropped = handle.open("f", "wb")
         dropped.write(b"dropped")
