@@ -16,9 +16,12 @@ once per file from the file's 32-byte key (v1) or the enclave session
 (sealed), and returns a `BlockCipher` whose `encrypt_into`/`decrypt_into`
 work on caller buffers (memoryviews), one block at a time. The v1 cipher owns
 one reused AES-GCM context for the file key; the sealed cipher holds the
-enclave session, checks it is live on every block, and seals each block with
-a fresh key id. `encrypt_block`/`decrypt_block` are thin one-block callers
-of the same objects. The vault subclasses `MasterKeys` once per mode.
+enclave session, checks it is live on every block, and seals the blocks it
+encrypts under one sealing key, drawn at its first block and again every
+KEY_ROTATION_BLOCKS blocks. The session keeps the sealing keys it derives,
+so a file's blocks are unsealed under one derivation. `encrypt_block`/
+`decrypt_block` are thin one-block callers of the same objects. The vault
+subclasses `MasterKeys` once per mode.
 
 Filename encryption is deterministic (AES-SIV keyed by the name key, with
 the directory id as associated data) because lookup-by-name requires the
@@ -68,6 +71,13 @@ NAME_SUFFIX = ".sc"
 MAX_ENCODED_NAME = 255
 DEFAULT_PBKDF2_ITERATIONS = 600_000
 SEALING_POLICY = tee.SealingPolicy.MRENCLAVE  # only the same enclave build unseals
+
+# Blocks one sealed cipher seals under one sealing key before it draws a
+# fresh one: the bound on messages per key for AES-GCM with random 96-bit IVs
+# (NIST SP 800-38D, 8.3).
+KEY_ROTATION_BLOCKS = 2**32
+# Sealing keys an enclave session keeps, by key request; emptied at the cap.
+SEALING_KEY_CACHE = 1024
 
 # Name keys whose keyed AES-SIV `_name_siv` keeps; emptied at the cap.
 _NAME_SIV_CACHE = 16
@@ -137,7 +147,14 @@ class EnclaveSession:
     """Handle to a live enclave context: the enclave is measured on
     construction, and the session is unusable after destroy. Its entry
     points are init_enclave, encrypt_bytes, decrypt_bytes and destroy; the
-    block ciphers use seal_into/unseal_into.
+    block ciphers use sealing_key, seal_into and unseal_into.
+
+    The session keeps the sealing keys of blocks (keyed AES-GCM objects, by
+    key request): each key it draws for a writer, and each key it derives
+    for a block that then authenticates. Up to SEALING_KEY_CACHE are kept;
+    the memo is emptied at the cap and by destroy, and is touched only by
+    single dict get, set and clear calls. Whole objects (encrypt_bytes,
+    decrypt_bytes) draw and derive a key per call and keep none.
 
     Concurrent encrypt/decrypt calls are safe; destroy must be exclusive
     (reader-writer contract: many crypto calls OR one destroy).
@@ -156,6 +173,7 @@ class EnclaveSession:
             enclave_code, signer_identity, product_id, isv_svn
         )
         self._lock = threading.Lock()
+        self._keys: dict[bytes, AESGCM] = {}
 
     @property
     def identity(self) -> tee.EnclaveIdentity:
@@ -174,15 +192,33 @@ class EnclaveSession:
         self._require_live()
         return tee.unseal(self._platform, self.enclave, blob, aad)
 
-    def seal_into(self, payload, aad: bytes, out) -> int:
-        """`tee.seal_into` under this session's identity and SEALING_POLICY."""
+    def sealing_key(self) -> tee.SealingKey:
+        """A fresh `tee.sealing_key` under this session's identity and
+        SEALING_POLICY, which the session keeps for unsealing."""
         self._require_live()
-        return tee.seal_into(self._platform, self.enclave, SEALING_POLICY, payload, aad, out)
+        key = tee.sealing_key(self._platform, self.enclave, SEALING_POLICY)
+        self._make_room()
+        self._keys[key.request] = key.aead
+        return key
+
+    def seal_into(self, payload, aad: bytes, out, key: tee.SealingKey | None = None) -> int:
+        """`tee.seal_into` under this session's identity and SEALING_POLICY,
+        and under `key` (from `sealing_key`) if given."""
+        self._require_live()
+        return tee.seal_into(
+            self._platform, self.enclave, SEALING_POLICY, payload, aad, out, key
+        )
 
     def unseal_into(self, blob, aad: bytes, out) -> int:
-        """`tee.unseal_into` under this session's identity."""
+        """`tee.unseal_into` under this session's identity and its memo of
+        sealing keys."""
         self._require_live()
-        return tee.unseal_into(self._platform, self.enclave, blob, aad, out)
+        self._make_room()
+        return tee.unseal_into(self._platform, self.enclave, blob, aad, out, self._keys)
+
+    def _make_room(self) -> None:
+        if len(self._keys) >= SEALING_KEY_CACHE:
+            self._keys.clear()
 
     def destroy(self) -> None:
         """Tear the session down; drops cached key material references."""
@@ -191,6 +227,7 @@ class EnclaveSession:
                 raise AlreadyDestroyed("session already destroyed")
             self.enclave = None
             self._platform = None  # type: ignore[assignment]
+            self._keys.clear()
 
 
 def init_enclave(
@@ -274,17 +311,25 @@ class V1BlockCipher(BlockCipher):
 
 
 class SealedBlockCipher(BlockCipher):
-    """sealed: each block is a sealed blob with its own fresh key id."""
+    """sealed: each block is a sealed blob. The blocks one cipher encrypts
+    share a sealing key, drawn at its first block and again after every
+    KEY_ROTATION_BLOCKS blocks."""
 
     overhead = SEALED_BLOCK_OVERHEAD
 
     def __init__(self, file_id: bytes, session: EnclaveSession):
         super().__init__(file_id)
         self._session = session
+        self._key: tee.SealingKey | None = None
+        self._key_left = 0  # blocks `_key` may still seal
 
     def encrypt_into(self, index: int, cleartext, out) -> int:
         self._check_cleartext(cleartext)
-        return self._session.seal_into(cleartext, block_aad(self.file_id, index), out)
+        if not self._key_left:
+            self._key = self._session.sealing_key()
+            self._key_left = KEY_ROTATION_BLOCKS
+        self._key_left -= 1
+        return self._session.seal_into(cleartext, block_aad(self.file_id, index), out, self._key)
 
     def decrypt_into(self, index: int, block, out) -> int:
         self._check_block(block)

@@ -15,7 +15,7 @@ by the ciphertext:
     [  8.. 10) policy           u16 (1=MRENCLAVE, 2=MRSIGNER)
     [ 10.. 12) isv_svn          u16 (of the sealing enclave)
     [ 12.. 28) cpu_svn          16 bytes
-    [ 28.. 60) key_id           32 bytes (fresh random per seal)
+    [ 28.. 60) key_id           32 bytes (random; see `sealing_key`)
     [ 60.. 92) measurement      32 bytes
     [ 92..124) signer           32 bytes
     [124..126) product_id       u16
@@ -32,6 +32,9 @@ The first 532 header bytes, concatenated with the caller's AAD, form the
 associated data of the AEAD, so any header tamper fails authentication
 even where it does not already fail parsing.
 
+Header bytes 8..60 (policy, isv_svn, cpu_svn, key_id) are the blob's key
+request: they and the unsealing enclave's identity name its sealing key.
+
 `seal_into`/`unseal_into` are the working core: they write a blob straight
 into, or read one straight out of, a caller's buffer. `seal`, `unseal` and
 `SealedBlob.from_bytes` are thin callers kept for whole-object use, and every
@@ -39,8 +42,17 @@ parse of a header goes through the one check in `_check_header`. A
 `SealedBlob` keeps the bytes it was parsed from, so `to_bytes` returns them
 as they are. Attestation, local or remote, is not simulated.
 
-All operations are pure functions of their inputs plus os.urandom; they are
-safe for unrestricted concurrent use.
+`seal` draws a fresh key id per call. A caller sealing many payloads (the
+blocks of one file) may instead draw one `sealing_key` and pass it to each
+`seal_into`, and may pass `unseal_into` a dict in which it keeps the keys it
+has derived, by key request; `derive_sealing_key` is the one derivation
+either way. AES-GCM with random 96-bit IVs stays within its bounds for 2**32
+messages per key (NIST SP 800-38D, 8.3), so a caller draws a fresh key
+before that.
+
+All operations are pure functions of their inputs plus os.urandom, apart
+from the entries `unseal_into` adds to a caller's dict; they are safe for
+unrestricted concurrent use.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ import hmac as _hmac
 import os
 import struct
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -72,6 +85,8 @@ MAX_PAYLOAD = 2**32 - HEADER_SIZE - 1
 SEAL_SLACK = TAG_SIZE
 
 _PREFIX = struct.Struct("<4sIHH16s32s32s32sH2sII396s")  # the 532-byte AAD prefix
+_REQUEST = struct.Struct("<HH16s32s")  # the key request, header bytes 8..60
+_REQUEST_AT = 8
 _RESERVED_TAIL = bytes(396)
 
 _SEAL_LABEL = b"SEALKEYv1"
@@ -88,6 +103,9 @@ class SealingPolicy(enum.IntEnum):
 
     MRENCLAVE = 1  # exact code measurement
     MRSIGNER = 2  # signer identity + product id
+
+
+_POLICIES = {p.value: p for p in SealingPolicy}
 
 
 @dataclass(frozen=True)
@@ -142,10 +160,9 @@ def _check_header(raw) -> tuple:
         raise MalformedBlob("bad magic")
     if version != BLOB_FORMAT_VERSION:
         raise MalformedBlob(f"unsupported format version {version}")
-    try:
-        policy = SealingPolicy(policy_code)
-    except ValueError:
-        raise MalformedBlob(f"unknown sealing policy {policy_code}") from None
+    policy = _POLICIES.get(policy_code)  # an enum call costs half the check
+    if policy is None:
+        raise MalformedBlob(f"unknown sealing policy {policy_code}")
     if reserved2 != b"\x00\x00" or reserved_tail != _RESERVED_TAIL:
         raise MalformedBlob("reserved region not zero")
     if aad_len != 0:
@@ -294,6 +311,32 @@ def derive_sealing_key(
     return _platform_cmac(platform.platform_key, message)
 
 
+class SealingKey(NamedTuple):
+    """A derived sealing key, keyed for AES-GCM, and the key request that
+    names it (header bytes 8..60 of every blob sealed under it)."""
+
+    request: bytes
+    aead: AESGCM
+
+    @property
+    def key_id(self) -> bytes:
+        return self.request[_REQUEST.size - 32:]
+
+
+def sealing_key(
+    platform: PlatformIdentity, enclave: EnclaveIdentity, policy: SealingPolicy
+) -> SealingKey:
+    """Draw a fresh key id and derive its sealing key at the enclave's own
+    SVN and the platform's CPU SVN, as `seal_into` does for each blob it
+    seals without one."""
+    key_id = os.urandom(32)
+    key = derive_sealing_key(
+        platform, enclave, policy, key_id, enclave.isv_svn, platform.cpu_svn
+    )
+    request = _REQUEST.pack(int(policy), enclave.isv_svn, platform.cpu_svn, key_id)
+    return SealingKey(request, AESGCM(key))
+
+
 def seal_into(
     platform: PlatformIdentity,
     enclave: EnclaveIdentity,
@@ -301,28 +344,30 @@ def seal_into(
     payload,
     aad: bytes,
     out,
+    key: SealingKey | None = None,
 ) -> int:
     """Seal a payload to this platform, writing the blob to the start of the
     writable buffer `out`; returns the blob size, always 560 + len(payload).
 
     `out` needs room for the blob plus SEAL_SLACK scratch bytes, which are
-    overwritten. A fresh key_id and IV are drawn per call; the caller AAD is
-    authenticated but not stored (readers must be able to recompute it).
+    overwritten. The blob is sealed under `key`, which must come from
+    `sealing_key` with the same platform, enclave and policy, or else under
+    a fresh one drawn for this call. A fresh IV is drawn per call; the
+    caller AAD is authenticated but not stored (readers must be able to
+    recompute it).
     """
     end = _sealed_size(len(payload))
-    key_id = os.urandom(32)
+    if key is None:
+        key = sealing_key(platform, enclave, policy)
     iv = os.urandom(IV_SIZE)
-    key = derive_sealing_key(
-        platform, enclave, policy, key_id, enclave.isv_svn, platform.cpu_svn
-    )
     view = memoryview(out)
     _PREFIX.pack_into(
         view, 0, BLOB_MAGIC, BLOB_FORMAT_VERSION, int(policy), enclave.isv_svn,
-        platform.cpu_svn, key_id, enclave.measurement, enclave.signer,
+        platform.cpu_svn, key.key_id, enclave.measurement, enclave.signer,
         enclave.product_id, b"\x00\x00", len(payload), 0, _RESERVED_TAIL,
     )
     view[AAD_PREFIX_SIZE:_TAG_AT] = iv
-    AESGCM(key).encrypt_into(
+    key.aead.encrypt_into(
         iv, payload, b"".join((view[:AAD_PREFIX_SIZE], aad)),
         view[HEADER_SIZE:end + TAG_SIZE],
     )
@@ -336,6 +381,7 @@ def unseal_into(
     blob,
     aad: bytes,
     out,
+    keys: dict[bytes, AESGCM] | None = None,
 ) -> int:
     """Recover the payload of the sealed blob `blob` (any buffer) into the
     writable buffer `out`, which must be exactly len(blob) - 560 bytes;
@@ -346,6 +392,11 @@ def unseal_into(
     measurement (MRENCLAVE), a different signer (MRSIGNER), a wrong AAD, or
     any bit tamper all fail authentication. The AAD is the blob's own
     validated 532-byte prefix followed by the caller AAD.
+
+    `keys`, if given, is the caller's memo of keys derived for this platform
+    and enclave, by key request. It is consulted after the header and SVN
+    checks, and a derived key enters it only once its blob authenticates.
+    The caller bounds its size.
     """
     view = memoryview(blob)
     policy, isv_svn, cpu_svn, key_id, _m, _s, _p = _check_header(view)
@@ -353,9 +404,13 @@ def unseal_into(
         raise ValueError(f"output buffer must be {len(view) - HEADER_SIZE} bytes")
     if enclave.isv_svn < isv_svn:
         raise SvnViolation(f"enclave isv_svn {enclave.isv_svn} < blob isv_svn {isv_svn}")
-    key = derive_sealing_key(platform, enclave, policy, key_id, isv_svn, cpu_svn)
+    request = bytes(view[_REQUEST_AT:_REQUEST_AT + _REQUEST.size])
+    aead = keys.get(request) if keys is not None else None
+    fresh = aead is None
+    if fresh:
+        aead = AESGCM(derive_sealing_key(platform, enclave, policy, key_id, isv_svn, cpu_svn))
     try:
-        AESGCM(key).decrypt_into(
+        aead.decrypt_into(
             view[AAD_PREFIX_SIZE:_TAG_AT],
             b"".join((view[HEADER_SIZE:], view[_TAG_AT:HEADER_SIZE])),
             b"".join((view[:AAD_PREFIX_SIZE], aad)),
@@ -365,6 +420,8 @@ def unseal_into(
         raise AuthenticationFailure(
             "unseal failed: wrong platform/identity, wrong AAD, or tampered blob"
         ) from None
+    if fresh and keys is not None:
+        keys[request] = aead
     return len(out)
 
 

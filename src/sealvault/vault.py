@@ -735,8 +735,10 @@ class VaultHandle:
         """Encrypt and store content (a bytes-like object, or a binary stream
         with readinto) at a logical path through a FileWriter, creating
         parent directories as needed. Bytes-like content is encrypted
-        straight from the caller's buffer. Returns the number of cleartext
-        bytes stored."""
+        straight from the caller's buffer. A stream is read to its end; one
+        whose readinto returns None (non-blocking, nothing ready) raises
+        BlockingIOError and the old version stays. Returns the number of
+        cleartext bytes stored."""
         with FileWriter(self, _split_path(logical_path)) as out:
             if isinstance(content, (bytes, bytearray, memoryview)):
                 out.write(content)
@@ -744,6 +746,9 @@ class VaultHandle:
                 batch = memoryview(bytearray(BATCH_BLOCKS * modes.BLOCK_SIZE))
                 while got := content.readinto(batch):
                     out.write(batch[:got])
+                if got is None:  # a non-blocking stream with nothing ready
+                    raise BlockingIOError(
+                        errno.EAGAIN, "the stream has no data ready; nothing was stored")
         return out.size
 
     def _release(self, fd: int) -> None:
@@ -1031,7 +1036,7 @@ class FileReader(io.RawIOBase):
         return n
 
     def readall(self) -> bytes:
-        out = bytearray(max(0, self.size - self._pos))
+        out = _unzeroed(max(0, self.size - self._pos))  # readinto fills it or raises
         self.readinto(out)
         return bytes(out)
 

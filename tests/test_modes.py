@@ -21,6 +21,7 @@ from sealvault.errors import (
     MalformedName,
     NameTooLong,
     SessionDestroyed,
+    SvnViolation,
 )
 
 # PBKDF2-HMAC-SHA256("password", "salt") known-answer vectors
@@ -203,7 +204,9 @@ class TestBlocks:
         cipher = modes.block_cipher(modes.ModeId.SEALED, s, b"\x00" * 16)
         block = bytearray(100 + cipher.overhead + modes.BLOCK_SLACK)
         size = cipher.encrypt_into(0, b"x" * 100, memoryview(block))
+        assert len(s._keys) == 1  # the cipher's sealing key
         s.destroy()
+        assert not s._keys
         with pytest.raises(SessionDestroyed):
             cipher.decrypt_into(0, block[:size], bytearray(100))
         with pytest.raises(SessionDestroyed):
@@ -250,6 +253,110 @@ class TestEnclaveSession:
     def test_destroy_fresh_session_ok(self):
         platform = tee.create_platform(os.urandom(32))
         modes.init_enclave(platform, b"code", b"sig").destroy()
+
+
+def _key_id(block) -> bytes:
+    return bytes(block[28:60])
+
+
+def _seal_blocks(session, file_id, count, size=100):
+    """Encrypt `count` blocks with one sealed cipher; returns the blocks."""
+    cipher = modes.block_cipher(modes.ModeId.SEALED, session, file_id)
+    blocks = []
+    for i in range(count):
+        out = bytearray(size + cipher.overhead + modes.BLOCK_SLACK)
+        del out[cipher.encrypt_into(i, bytes([i]) * size, out):]
+        blocks.append(bytes(out))
+    return blocks
+
+
+def _unseal_blocks(session, file_id, blocks, size=100):
+    cipher = modes.block_cipher(modes.ModeId.SEALED, session, file_id)
+    for i, block in enumerate(blocks):
+        out = bytearray(size)
+        cipher.decrypt_into(i, block, out)
+        assert out == bytes([i]) * size
+
+
+class TestSealingKeyPerFile:
+    """A sealed cipher seals its blocks under one sealing key, and the
+    session keeps the keys it derives, by the blob's key request."""
+
+    def test_blocks_of_one_cipher_share_a_key_id(self):
+        s = modes.init_enclave(tee.create_platform(os.urandom(32)), b"code", b"sig")
+        a = _seal_blocks(s, b"\x01" * 16, 4)
+        b = _seal_blocks(s, b"\x01" * 16, 4)  # the same file written again
+        assert len({_key_id(block) for block in a}) == 1
+        assert len({_key_id(block) for block in b}) == 1
+        assert _key_id(a[0]) != _key_id(b[0])
+        assert len({bytes(block[532:544]) for block in a}) == 4  # a fresh IV each
+        s.destroy()
+
+    def test_rotation_draws_a_fresh_key_id(self, monkeypatch):
+        monkeypatch.setattr(modes, "KEY_ROTATION_BLOCKS", 3)
+        s = modes.init_enclave(tee.create_platform(os.urandom(32)), b"code", b"sig")
+        blocks = _seal_blocks(s, b"\x02" * 16, 7)
+        ids = [_key_id(block) for block in blocks]
+        assert ids[0] == ids[1] == ids[2] != ids[3] == ids[4] == ids[5] != ids[6]
+        assert ids[0] != ids[6]
+        _unseal_blocks(s, b"\x02" * 16, blocks)
+        s.destroy()
+
+    def test_cold_session_derives_once_and_keeps_the_key(self, monkeypatch):
+        platform = tee.create_platform(os.urandom(32))
+        writer = modes.init_enclave(platform, b"code", b"sig")
+        blocks = _seal_blocks(writer, b"\x03" * 16, 5)
+        reader = modes.init_enclave(platform, b"code", b"sig")
+        derive = tee.derive_sealing_key
+        calls = []
+        monkeypatch.setattr(tee, "derive_sealing_key",
+                            lambda *args: calls.append(1) or derive(*args))
+        _unseal_blocks(reader, b"\x03" * 16, blocks)
+        assert len(calls) == 1
+        assert list(reader._keys) == [bytes(blocks[0][8:60])]
+        _unseal_blocks(reader, b"\x03" * 16, blocks)
+        assert len(calls) == 1
+        writer.destroy(); reader.destroy()
+
+    def test_tampered_block_never_enters_the_memo(self):
+        platform = tee.create_platform(os.urandom(32))
+        writer = modes.init_enclave(platform, b"code", b"sig")
+        block = _seal_blocks(writer, b"\x04" * 16, 1)[0]
+        reader = modes.init_enclave(platform, b"code", b"sig")
+        for offset in (100, 28, 532, 544, len(block) - 1):  # reserved, key id, IV, tag, body
+            tampered = bytearray(block)
+            tampered[offset] ^= 1
+            with pytest.raises((AuthenticationFailure, MalformedBlock)):
+                modes.decrypt_block(modes.ModeId.SEALED, reader, b"\x04" * 16, 0,
+                                    bytes(tampered))
+            assert not reader._keys
+        with pytest.raises(AuthenticationFailure):  # right key, wrong position
+            modes.decrypt_block(modes.ModeId.SEALED, reader, b"\x04" * 16, 1, block)
+        assert not reader._keys
+        modes.decrypt_block(modes.ModeId.SEALED, reader, b"\x04" * 16, 0, block)
+        assert list(reader._keys) == [bytes(block[8:60])]
+        writer.destroy(); reader.destroy()
+
+    def test_svn_checked_before_the_memo(self):
+        platform = tee.create_platform(os.urandom(32))
+        newer = modes.init_enclave(platform, b"code", b"sig", isv_svn=2)
+        block = _seal_blocks(newer, b"\x05" * 16, 1)[0]
+        older = modes.init_enclave(platform, b"code", b"sig", isv_svn=1)
+        older._keys.update(newer._keys)  # the blob's key request, memoized
+        assert bytes(block[8:60]) in older._keys
+        with pytest.raises(SvnViolation):
+            modes.decrypt_block(modes.ModeId.SEALED, older, b"\x05" * 16, 0, block)
+        newer.destroy(); older.destroy()
+
+    def test_memo_emptied_at_its_cap(self, monkeypatch):
+        monkeypatch.setattr(modes, "SEALING_KEY_CACHE", 2)
+        s = modes.init_enclave(tee.create_platform(os.urandom(32)), b"code", b"sig")
+        files = [_seal_blocks(s, bytes([i]) * 16, 2) for i in range(5)]
+        assert len(s._keys) <= 2
+        for i, blocks in enumerate(files):
+            _unseal_blocks(s, bytes([i]) * 16, blocks)
+            assert len(s._keys) <= 2
+        s.destroy()
 
 
 NAME_KEY = b"\x55" * 32

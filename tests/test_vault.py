@@ -548,6 +548,70 @@ class TestDataPath:
         assert not [p for p in phys_dir.iterdir() if p.name.startswith(vault.TEMP_PREFIX)]
         assert handle.read_file("full.bin") == b"previous version"
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_nonblocking_stream_with_nothing_ready_raises(self, make_vault, mode):
+        handle = make_vault(mode, name=f"v-{mode.value}")
+        handle.write_file("p.bin", b"previous version")
+        r, w = os.pipe()
+        with open(r, "rb", buffering=0) as source, open(w, "wb", buffering=0) as sink:
+            os.set_blocking(r, False)
+            sink.write(bytes(range(110)))
+            assert source.read(10) == bytes(range(10))  # 100 bytes are left
+            with pytest.raises(BlockingIOError):
+                handle.write_file("p.bin", source)
+            assert source.read(1) is None  # write_file read all it was given
+        assert handle.read_file("p.bin") == b"previous version"
+        assert not _temp_leftovers(handle, "p.bin")
+
+
+def _block_key_ids(handle, path) -> list[bytes]:
+    """The key id (blob header bytes 28..60) of each block of a sealed file."""
+    body = handle.map_path(path).read_bytes()[vault.FILE_HEADER_SIZE:]
+    step = modes.BLOCK_SIZE + modes.SEALED_BLOCK_OVERHEAD
+    return [body[off + 28:off + 60] for off in range(0, len(body), step)]
+
+
+class TestSealedKeyPerFile:
+    """A sealed file's blocks share one sealing key, and files sealed with a
+    key per block, as before, still read back."""
+
+    def test_key_per_block_layout_reads_back(self, make_vault, reopen):
+        handle = make_vault(modes.ModeId.SEALED)
+        data = random.Random(19).randbytes(3 * modes.BLOCK_SIZE + 5)
+        file_id, file_key = os.urandom(16), os.urandom(32)
+        session = handle._keys().session
+        blocks = []
+        for i, off in enumerate(range(0, len(data), modes.BLOCK_SIZE)):
+            out = bytearray(modes.BLOCK_SIZE + modes.SEALED_BLOCK_OVERHEAD + modes.BLOCK_SLACK)
+            del out[session.seal_into(data[off:off + modes.BLOCK_SIZE],
+                                      modes.block_aad(file_id, i), out):]
+            blocks.append(bytes(out))
+        handle.map_path("old.bin").write_bytes(
+            handle._build_header(file_id, file_key) + b"".join(blocks))
+        assert len(set(_block_key_ids(handle, "old.bin"))) == 4
+        for h in (reopen(handle), handle):  # a cold session, then a warm one
+            for _ in range(2):
+                assert h.read_file("old.bin") == data
+                assert h.read_range("old.bin", 32760, 40_000) == data[32760:72760]
+                assert h.read_range("old.bin", len(data) - 3, 9) == data[-3:]
+                with h.open("old.bin") as f:
+                    f.seek(modes.BLOCK_SIZE - 1)
+                    assert f.read(3) == data[modes.BLOCK_SIZE - 1:modes.BLOCK_SIZE + 2]
+                    f.seek(0)
+                    assert f.read() == data
+
+    def test_one_key_id_per_written_file(self, make_vault, reopen):
+        handle = make_vault(modes.ModeId.SEALED)
+        data = random.Random(20).randbytes(4 * modes.BLOCK_SIZE + 1)
+        handle.write_file("a.bin", data)
+        handle.write_file("b.bin", data)
+        a, b = _block_key_ids(handle, "a.bin"), _block_key_ids(handle, "b.bin")
+        handle.write_file("a.bin", data)
+        again = _block_key_ids(handle, "a.bin")
+        assert [len(set(ids)) for ids in (a, b, again)] == [1, 1, 1]
+        assert len({a[0], b[0], again[0]}) == 3
+        assert reopen(handle).read_file("a.bin") == data
+
 
 class TestFileHeaderLayout:
     """The 640-byte file header, read with public functions only."""
