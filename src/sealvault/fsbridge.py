@@ -10,6 +10,7 @@ file in memory except `read` of a whole file, which returns it.
 
 from __future__ import annotations
 
+import os
 import stat
 
 from .errors import NotFound
@@ -43,7 +44,7 @@ class VaultFilesystem:
     def getsize(self, path: str) -> int:
         """Cleartext size from the object's stat and the size law alone."""
         try:
-            st = self.handle.map_path(path).stat()
+            st = os.stat(self.handle._physical(path))
             if stat.S_ISREG(st.st_mode):
                 return invert_object_size(st.st_size, self.handle.mode.block_overhead)
         except (OSError, ValueError):

@@ -29,10 +29,12 @@ ctime_ns, inode) differs from the stat it had when its digest was last taken
 (`_cached_digest`). A stat is kept only if its mtime and ctime are both
 older than a stamp read from the filesystem's own clock before the walk
 (git's racy-clean rule), so a same-size rewrite within one timestamp granule
-is hashed again rather than hidden behind an equal stat. The local cache
-rides in the SyncState and is saved to the `<state name>.stat` sibling after
-each run; LocalDirStore keeps its own in memory. The caches only spare
-hashing and decide nothing: a lost or damaged `.stat` file means rehashing.
+is hashed again rather than hidden behind an equal stat. The stamp is the
+scanned root's own mtime, set to now by os.utime and read back, so reading
+it creates no file. The local cache rides in the SyncState and is saved to
+the `<state name>.stat` sibling after each run; LocalDirStore keeps its own
+in memory. The caches only spare hashing and decide nothing: a lost or
+damaged `.stat` file means rehashing.
 
 Every local write (pulls, conflict copies, the state file, LocalDirStore
 objects) goes through `vault.atomic_write`, whose `.tmp-` names are never
@@ -53,7 +55,6 @@ import os
 import re
 import stat
 import struct
-import tempfile
 import threading
 from dataclasses import dataclass, field
 from hashlib import sha256
@@ -142,18 +143,15 @@ def _load_keyed(raw: bytes, magic: bytes, version: int, texts: int,
 
 
 def _fs_clock(root: str) -> int | None:
-    """The time the filesystem under `root` stamps on a file written now: the
-    mtime of a fresh `.tmp-` file there, which is removed again. None when no
-    file can be made there (a missing root, which scans as empty)."""
+    """The time the filesystem under `root` stamps on a change made now:
+    `root`'s own mtime, read back after os.utime sets it to now. None when
+    it cannot be set (a missing root, which scans as empty, or one this
+    process may not touch)."""
     try:
-        fd, name = tempfile.mkstemp(prefix=TEMP_PREFIX, dir=root)
+        os.utime(root)
+        return os.stat(root).st_mtime_ns
     except OSError:
         return None
-    try:
-        return os.fstat(fd).st_mtime_ns
-    finally:
-        os.close(fd)
-        os.unlink(name)
 
 
 def _scan(root: str) -> dict[str, tuple[str, os.stat_result]]:

@@ -29,12 +29,18 @@ file's block cipher once and moves a batch of up to BATCH_BLOCKS blocks at a
 time. An open file is one object: `open(path, "wb")` gives a FileWriter,
 which encrypts whole blocks straight from the caller's buffers into one
 reused batch buffer and issues one write per batch, and `open(path, "rb")`
-a FileReader, which reads a batch of ciphertext into one reused buffer and
-decrypts each block straight into the caller's buffer. `write_file` and
-`read_to` are short callers of them, so their memory, like the objects',
-is bounded by the batch, not the file. `read_file` and `read_range` open
-the object directly and decrypt into one buffer sized to the request;
-`read_file` returns that buffer, a bytearray, without copying it.
+a FileReader, which holds the object's descriptor, reads a batch of
+ciphertext at a time by its offset, into one buffer sized to the largest
+read so far, and decrypts each block straight into the caller's buffer.
+`write_file` and `read_to` are short callers of them, so their memory,
+like the objects', is bounded by the batch, not the file. `read_file` and
+`read_range` open the object directly and decrypt into one buffer sized to
+the request. Every read side opens the object with one os.open and one
+fstat and reads with os.pread/os.preadv, into buffers sized to the
+ciphertext it needs and not zeroed first; `read_file` reads the header
+with the first batch of blocks, so a file of up to one batch costs one
+open, one fstat, one read and one close, and it returns the buffer it
+decrypted into, a bytearray, without copying it.
 
 vault.cfg is a length-prefixed record protected by a SHA-256 trailer; any
 bit flip surfaces as CorruptConfig before key material is touched. It
@@ -80,15 +86,18 @@ rename, removal, re-creation, sync pull, second handle or tampering shows at
 the very next lookup, and nothing needs invalidating.
 
 Two more memos keep warm reads from decrypting anything twice. The header
-memo maps a file's physical entry to the 640 header bytes last read or
-written there and the (file id, file key) they hold: every open still reads
-the header, reuses the key only when the bytes equal the memoized bytes, and
-otherwise unwraps or unseals them as a cold read does and replaces the
-entry; a FileWriter memoizes the header it writes. Blocks are authenticated on
-every read, and the size comes from fstat. The name memo maps (dir id,
-encoded name) to the name for list_dir. AES-SIV is deterministic, so it
-needs no check on disk; only names that authenticated enter it, and a
-failure is tried again at every listing.
+memo maps a file's physical entry to its own copy of the 640 header bytes
+last read or written there and the (file id, file key) they hold: every
+open still reads the header, reuses the key only when the bytes equal the
+memoized bytes, and otherwise unwraps or unseals them as a cold read does
+and replaces the entry; a FileWriter memoizes the header it writes. Blocks
+are authenticated on every read, and the size comes from fstat. The name
+memo maps (dir id, encoded name) to the name for list_dir. AES-SIV is
+deterministic, so it needs no check on disk; only names that authenticated
+enter it, and a failure is tried again at every listing. A fourth memo maps
+a logical path string to its validated components (`_split_path` is a pure
+function of the string); it holds cleartext names, so like the name memo
+it lives in the handle, and a locked handle adds nothing to it.
 
 Each memo is emptied when it reaches _LOOKUP_MEMO_SIZE entries and by
 lock(); each is touched only by single dict get, set and clear calls, so
@@ -107,6 +116,7 @@ import shutil
 import stat
 import struct
 import threading
+import warnings
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from hashlib import sha256
@@ -456,12 +466,12 @@ def _read_dirid(path: str) -> bytes:
         os.close(fd)
 
 
-def _read_exact(fh: BinaryIO, view: memoryview) -> None:
-    """Fill `view` from `fh`, topping up short reads; a short object is
-    malformed, since every size read here comes from the size law."""
-    filled = 0
+def _pread_exact(fd: int, view: memoryview, offset: int) -> None:
+    """Fill `view` from `fd` at `offset`, topping up short reads; a short
+    object is malformed, since every size read here comes from the size law."""
+    filled = os.preadv(fd, (view,), offset)
     while filled < len(view):
-        got = fh.readinto(view[filled:])
+        got = os.preadv(fd, (view[filled:],), offset + filled)
         if not got:
             raise MalformedBlock("file object ends before its last block")
         filled += got
@@ -471,10 +481,11 @@ def _blocks(size: int) -> int:
     return -(-size // modes.BLOCK_SIZE)
 
 
-def _read_buffer(cipher: modes.BlockCipher, size: int) -> memoryview:
-    """Ciphertext buffer for `size` cleartext bytes, capped at a batch."""
-    blocks = min(_blocks(size), BATCH_BLOCKS)
-    return memoryview(bytearray(blocks * (modes.BLOCK_SIZE + cipher.overhead)))
+def _batch_ciphertext(clear: int, overhead: int) -> int:
+    """Ciphertext bytes of the first batch of a read of `clear` cleartext
+    bytes from a block boundary on: all of them, up to BATCH_BLOCKS blocks."""
+    clear = min(clear, BATCH_BLOCKS * modes.BLOCK_SIZE)
+    return clear + overhead * _blocks(clear)
 
 
 def _split_path(logical_path: str) -> list[str]:
@@ -547,6 +558,8 @@ class VaultHandle:
         self._headers: dict[str, tuple[bytes, bytes, bytes]] = {}
         # (dir id, encoded name) -> name
         self._names: dict[tuple[bytes, str], str] = {}
+        # logical path -> its validated components
+        self._splits: dict[str, list[str]] = {}
         # the thread closing the last replaced object write_file held open
         self._release_lock = threading.Lock()
         self._releasing: threading.Thread | None = None
@@ -568,6 +581,7 @@ class VaultHandle:
         self._memo.clear()
         self._headers.clear()
         self._names.clear()
+        self._splits.clear()
         with self._release_lock:
             self._wait_release()
 
@@ -589,6 +603,16 @@ class VaultHandle:
         if len(memo) >= _LOOKUP_MEMO_SIZE:
             memo.clear()
         memo[key] = value
+
+    def _split(self, logical_path: str) -> list[str]:
+        """`_split_path` of `logical_path`, memoized; callers must not change
+        the list. A locked handle memoizes nothing, so lock() leaves no name."""
+        parts = self._splits.get(logical_path)
+        if parts is None:
+            parts = _split_path(logical_path)
+            if self._master is not None:
+                self._remember(self._splits, logical_path, parts)
+        return parts
 
     def _lookup(self, name_key: bytes, dir_id: bytes, name: str) -> tuple:
         """Memo entry of `name` in directory `dir_id`: (physical entry, the
@@ -685,10 +709,14 @@ class VaultHandle:
             os.makedirs(os.path.dirname(entry), exist_ok=True)
         return dir_id, entry
 
+    def _physical(self, logical_path: str) -> str:
+        """`map_path` as a plain str."""
+        parts = self._split(logical_path)
+        return self._entry(parts)[1] if parts else self._shard(ROOT_DIR_ID)
+
     def map_path(self, logical_path: str) -> Path:
         """Physical location of a logical path (pure function of the keys)."""
-        parts = _split_path(logical_path)
-        return Path(self._entry(parts)[1] if parts else self._shard(ROOT_DIR_ID))
+        return Path(self._physical(logical_path))
 
     def exists(self, logical_path: str) -> bool:
         try:
@@ -698,7 +726,7 @@ class VaultHandle:
 
     def make_dir(self, logical_path: str) -> None:
         """Create a directory (and any missing parents)."""
-        parts = _split_path(logical_path)
+        parts = self._split(logical_path)
         if not parts:
             return
         os.makedirs(self._shard(self._resolve_dir(parts, create=True)), exist_ok=True)
@@ -726,9 +754,9 @@ class VaultHandle:
         """Open a stored file: "rb" gives a seekable FileReader, "wb" a
         FileWriter that replaces the file when it closes."""
         if mode == "rb":
-            return FileReader(self, *self._open_object(logical_path))
+            return FileReader(self, *self._open_object(logical_path)[:3])
         if mode == "wb":
-            return FileWriter(self, _split_path(logical_path))
+            return FileWriter(self, self._split(logical_path))
         raise ValueError(f"unsupported mode {mode!r} (use 'rb' or 'wb')")
 
     def write_file(self, logical_path: str, content: bytes | BinaryIO) -> int:
@@ -739,7 +767,7 @@ class VaultHandle:
         whose readinto returns None (non-blocking, nothing ready) raises
         BlockingIOError and the old version stays. Returns the number of
         cleartext bytes stored."""
-        with FileWriter(self, _split_path(logical_path)) as out:
+        with FileWriter(self, self._split(logical_path)) as out:
             if isinstance(content, (bytes, bytearray, memoryview)):
                 out.write(content)
             else:
@@ -775,48 +803,62 @@ class VaultHandle:
             self._releasing.join()
             self._releasing = None
 
-    def _open_object(self, logical_path: str) -> tuple[BinaryIO, modes.BlockCipher, int]:
-        """Open a stored file: (unbuffered handle just past the header, the
-        file's block cipher, cleartext size by the size law)."""
-        parts = _split_path(logical_path)
+    def _open_object(self, logical_path: str, whole: bool = False
+                     ) -> tuple[int, modes.BlockCipher, int, memoryview | None]:
+        """Open a stored file: (its descriptor, its block cipher, the
+        cleartext size by the size law, and when `whole` the ciphertext of
+        its first batch of blocks, else None). One open, one fstat and one
+        read, of the header, or with `whole` of the header and that batch.
+        A missing or non-regular entry is NotFound. The header is checked
+        before anything returns, so before any block is decrypted."""
+        parts = self._split(logical_path)
         if not parts:
             raise NotFound("the vault root is not a file")
         entry = self._entry(parts)[1]
         try:
-            fh = open(entry, "rb", buffering=0)
-        except (FileNotFoundError, IsADirectoryError):
+            fd = os.open(entry, os.O_RDONLY)
+        except FileNotFoundError:
             raise NotFound(f"no such file: {logical_path!r}") from None
         try:
-            raw = fh.read(FILE_HEADER_SIZE)
+            st = os.fstat(fd)
+            if not stat.S_ISREG(st.st_mode):
+                raise NotFound(f"no such file: {logical_path!r}")
+            try:
+                size = invert_object_size(st.st_size, self.mode.block_overhead)
+            except ValueError as exc:
+                raise MalformedBlock(str(exc)) from None
+            if whole:
+                buf = memoryview(_unzeroed(
+                    FILE_HEADER_SIZE + _batch_ciphertext(size, self.mode.block_overhead)))
+                _pread_exact(fd, buf, 0)
+                # the header's own copy, which the memo may keep: never a view of `buf`
+                raw, first = bytes(buf[:FILE_HEADER_SIZE]), buf[FILE_HEADER_SIZE:]
+            else:
+                raw, first = os.pread(fd, FILE_HEADER_SIZE, 0), None
             seen = self._headers.get(entry)
             if seen is not None and seen[0] == raw:
                 _, file_id, file_key = seen
             else:
                 file_id, file_key = self._parse_header(raw)
                 self._remember(self._headers, entry, (raw, file_id, file_key))
-            try:
-                size = invert_object_size(
-                    os.fstat(fh.fileno()).st_size, self.mode.block_overhead
-                )
-            except ValueError as exc:
-                raise MalformedBlock(str(exc)) from None
-            return fh, self._keys().cipher(file_id, file_key), size
+            return fd, self._keys().cipher(file_id, file_key), size, first
         except BaseException:
-            fh.close()
+            os.close(fd)
             raise
 
-    def _decrypt_blocks(self, fh: BinaryIO, cipher: modes.BlockCipher, index: int,
-                        out: memoryview, buf: memoryview) -> None:
+    def _decrypt_blocks(self, fd: int, cipher: modes.BlockCipher, index: int,
+                        out: memoryview, buf: memoryview, filled: bool = False) -> None:
         """Decrypt consecutive blocks from block `index` on until their
-        cleartext fills `out`. `fh` is positioned at block `index`; each
-        batch of ciphertext is read into `buf` (a whole number of blocks)."""
+        cleartext fills `out`. Each batch of ciphertext is read by its offset
+        into `buf`, which holds at least the first (`_batch_ciphertext`);
+        `filled` says `buf` already holds it."""
         step = modes.BLOCK_SIZE + cipher.overhead
-        per_batch = len(buf) // step * modes.BLOCK_SIZE
         done = 0
         while done < len(out):
-            clear = min(len(out) - done, per_batch)
-            batch = buf[:clear + cipher.overhead * _blocks(clear)]
-            _read_exact(fh, batch)
+            batch = buf[:_batch_ciphertext(len(out) - done, cipher.overhead)]
+            if not filled:
+                _pread_exact(fd, batch, FILE_HEADER_SIZE + index * step)
+            filled = False
             for off in range(0, len(batch), step):
                 block = batch[off:off + step]
                 end = done + len(block) - cipher.overhead
@@ -827,11 +869,14 @@ class VaultHandle:
 
     def read_file(self, logical_path: str) -> bytearray:
         """Decrypt a stored file back to its exact original bytes, in the
-        one buffer it decrypts into, which is not zeroed first."""
-        fh, cipher, size = self._open_object(logical_path)
-        with fh:
+        one buffer it decrypts into, which is not zeroed first. A file of
+        up to one batch costs one open, one fstat, one read and one close."""
+        fd, cipher, size, first = self._open_object(logical_path, whole=True)
+        try:
             out = _unzeroed(size)  # _decrypt_blocks writes every byte or raises
-            self._decrypt_blocks(fh, cipher, 0, memoryview(out), _read_buffer(cipher, size))
+            self._decrypt_blocks(fd, cipher, 0, memoryview(out), first, filled=True)
+        finally:
+            os.close(fd)
         return out
 
     def read_range(self, logical_path: str, offset: int, length: int) -> bytes:
@@ -839,18 +884,19 @@ class VaultHandle:
         covering [offset, offset+length) and slices the result."""
         if offset < 0 or length < 0:
             raise ValueError("offset and length must be non-negative")
-        fh, cipher, size = self._open_object(logical_path)
-        with fh:
+        fd, cipher, size, _ = self._open_object(logical_path)
+        try:
             if offset >= size or length == 0:
                 return b""
             length = min(length, size - offset)
             first = offset // modes.BLOCK_SIZE
             last = (offset + length - 1) // modes.BLOCK_SIZE
             base = first * modes.BLOCK_SIZE
-            out = bytearray(min((last + 1) * modes.BLOCK_SIZE, size) - base)
-            fh.seek(FILE_HEADER_SIZE + first * (modes.BLOCK_SIZE + cipher.overhead))
-            self._decrypt_blocks(fh, cipher, first, memoryview(out),
-                                 _read_buffer(cipher, len(out)))
+            out = _unzeroed(min((last + 1) * modes.BLOCK_SIZE, size) - base)
+            buf = memoryview(_unzeroed(_batch_ciphertext(len(out), cipher.overhead)))
+            self._decrypt_blocks(fd, cipher, first, memoryview(out), buf)
+        finally:
+            os.close(fd)
         start = offset - base
         return bytes(memoryview(out)[start:start + length])
 
@@ -874,7 +920,7 @@ class VaultHandle:
     def list_dir(self, logical_path: str = "/") -> list[DirEntry]:
         """List a directory. Sizes come from the ciphertext size law alone;
         entries whose names do not decrypt are surfaced as 'unreadable'."""
-        parts = _split_path(logical_path)
+        parts = self._split(logical_path)
         dir_id = self._resolve_dir(parts)
         entries: list[DirEntry] = []
         try:
@@ -908,7 +954,7 @@ class VaultHandle:
 
     def remove_file(self, logical_path: str) -> None:
         """Remove a file, or an empty directory."""
-        parts = _split_path(logical_path)
+        parts = self._split(logical_path)
         if not parts:
             raise InvalidName("cannot remove the vault root")
         dir_id, target = self._entry(parts)
@@ -937,8 +983,8 @@ class VaultHandle:
         """Re-encrypt an entry's name; file content objects are untouched
         (bit-identical before and after). A directory gets a new entry,
         staged and renamed into place, before its old entry is removed."""
-        src_parts = _split_path(src_path)
-        dst_parts = _split_path(dst_path)
+        src_parts = self._split(src_path)
+        dst_parts = self._split(dst_path)
         if not src_parts or not dst_parts:
             raise InvalidName("cannot rename the vault root")
         src_dir_id, src = self._entry(src_parts)
@@ -962,7 +1008,7 @@ class VaultHandle:
 
     def walk(self, logical_path: str = "/") -> Iterator[tuple[str, list[str], list[str]]]:
         """os.walk-style traversal of the logical namespace."""
-        base = "/".join(_split_path(logical_path))
+        base = "/".join(self._split(logical_path))
         entries = self.list_dir(logical_path)
         dirs = [e.name for e in entries if e.kind == "dir"]
         files = [e.name for e in entries if e.kind == "file"]
@@ -974,23 +1020,24 @@ class VaultHandle:
 class FileReader(io.RawIOBase):
     """A stored file open for reading (`VaultHandle.open(path, "rb")`).
 
-    Seekable and unbuffered: `readinto` decrypts only the blocks a read
-    covers, whole blocks straight into the caller's buffer and a batch of
-    ciphertext at a time. A block a read covers only in part is decrypted
-    into a one-block buffer and kept, so a run of small reads decrypts each
-    block once. `readinto` fills the caller's buffer up to the end of the
-    file and `readall` returns bytes, so io.BufferedReader can wrap it. It
-    reads the object it opened, even if the path is overwritten meanwhile.
-    `size` is the cleartext size. Like a file, it is for one thread at a
-    time."""
+    Seekable and unbuffered: it holds the object's descriptor and reads
+    by offset, so `readinto` decrypts only the blocks a read covers, whole
+    blocks straight into the caller's buffer, reading a batch of
+    ciphertext at a time into one buffer sized to the largest read so far.
+    A block a read covers only in part is decrypted into a one-block buffer
+    and kept, so a run of small reads decrypts each block once. `readinto`
+    fills the caller's buffer up to the end of the file and `readall`
+    returns bytes, so io.BufferedReader can wrap it. It reads the object it
+    opened, even if the path is overwritten meanwhile. `size` is the
+    cleartext size. Like a file, it is for one thread at a time, and like
+    one it warns (ResourceWarning) if it is collected before close()."""
 
-    def __init__(self, handle: VaultHandle, fh: BinaryIO, cipher: modes.BlockCipher,
-                 size: int):
+    _fd = -1
+
+    def __init__(self, handle: VaultHandle, fd: int, cipher: modes.BlockCipher, size: int):
         super().__init__()
-        self._handle, self._fh, self._cipher, self.size = handle, fh, cipher, size
-        self._step = modes.BLOCK_SIZE + cipher.overhead
+        self._handle, self._fd, self._cipher, self.size = handle, fd, cipher, size
         self._pos = 0
-        self._at: int | None = 0  # the block `fh` is positioned at, if known
         self._buf: memoryview | None = None  # ciphertext, up to a batch
         self._block: memoryview | None = None  # cleartext of block _block_index
         self._block_index: int | None = None
@@ -1041,19 +1088,26 @@ class FileReader(io.RawIOBase):
         return bytes(out)
 
     def close(self) -> None:
-        self._fh.close()
-        super().close()
+        fd, self._fd = self._fd, -1
+        try:
+            if fd >= 0:
+                os.close(fd)
+        finally:
+            super().close()
+
+    def __del__(self) -> None:
+        if self._fd >= 0:
+            try:
+                warnings.warn(f"unclosed {self!r}", ResourceWarning, stacklevel=2, source=self)
+            finally:
+                self.close()
 
     def _decrypt(self, index: int, out: memoryview) -> None:
         """Decrypt the blocks from `index` on whose cleartext fills `out`."""
-        if self._at != index:
-            self._fh.seek(FILE_HEADER_SIZE + index * self._step)
-        need = min(_blocks(len(out)), BATCH_BLOCKS) * self._step
+        need = _batch_ciphertext(len(out), self._cipher.overhead)
         if self._buf is None or len(self._buf) < need:
-            self._buf = _read_buffer(self._cipher, len(out))
-        self._at = None  # unknown if a block fails
-        self._handle._decrypt_blocks(self._fh, self._cipher, index, out, self._buf)
-        self._at = index + _blocks(len(out))
+            self._buf = memoryview(_unzeroed(need))
+        self._handle._decrypt_blocks(self._fd, self._cipher, index, out, self._buf)
 
     def _partial(self, index: int) -> memoryview:
         """The cleartext of block `index`, decrypted unless it is the kept one."""

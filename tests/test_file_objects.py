@@ -140,6 +140,18 @@ class TestFailures:
         assert not other.is_alive() and handle.read_file("doc") == b"new"
 
     @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_dropped_reader_warns_and_closes_its_descriptor(self, make_vault, mode):
+        handle = make_vault(mode)
+        handle.write_file("doc", b"kept open")
+        fds = len(os.listdir("/proc/self/fd"))
+        reader = handle.open("doc", "rb")
+        assert reader.read(4) == b"kept"
+        with pytest.warns(ResourceWarning, match="unclosed"):
+            del reader
+            gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
     def test_locked_handle_makes_both_objects_raise(self, make_vault, mode):
         handle = make_vault(mode)
         handle.write_file("f", os.urandom(BLOCK + 1))

@@ -1061,6 +1061,19 @@ class TestStateWrites:
 
 
 class TestStatCache:
+    def test_clock_makes_no_file(self, tmp_path, monkeypatch):
+        """The clock is the root's own mtime, set to now: reading it opens,
+        creates and removes nothing, and a missing root has none."""
+        root = tmp_path / "r"; root.mkdir()
+        (root / "obj").write_bytes(b"x")
+        os.utime(root, ns=(0, 0))
+        with monkeypatch.context() as m:
+            m.setattr(os, "open", lambda *args, **kwargs: pytest.fail("opened a file"))
+            stamp = sync._fs_clock(str(root))
+        assert sorted(os.listdir(root)) == ["obj"]
+        assert stamp == os.stat(root).st_mtime_ns > 0
+        assert sync._fs_clock(str(tmp_path / "missing")) is None
+
     def test_same_size_rewrite_with_restored_mtime_is_pushed(self, tmp_path):
         root = tmp_path / "r"; root.mkdir()
         (root / "obj").write_bytes(b"version one")

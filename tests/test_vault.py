@@ -1566,6 +1566,53 @@ class TestLookupCost:
         assert warm.list_dir("d") == [vault.DirEntry("g", "file", 2)]
         assert [e.name for e in warm.list_dir("e")] == ["f", "sub"]
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_warm_small_read_file_makes_four_calls(self, make_vault, monkeypatch, mode):
+        """At depth 1 no dirid object is read, so every call counted is on
+        the object: one open, one fstat, one read of header and block, one
+        close."""
+        handle = make_vault(mode)
+        data = os.urandom(2000)
+        handle.write_file("f", data)
+        assert handle.read_file("f") == data
+        with monkeypatch.context() as m:
+            counts = _count_os_calls(m)
+            got = handle.read_file("f")
+        assert got == data
+        assert counts == {"open": 1, "fstat": 1, "read": 1, "lseek": 0, "close": 1}
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_read_range_and_reader_read_by_offset(self, make_vault, monkeypatch, mode):
+        handle = make_vault(mode)
+        data = os.urandom(3 * modes.BLOCK_SIZE)
+        handle.write_file("f", data)
+        assert handle.read_file("f") == data
+        with monkeypatch.context() as m:
+            counts = _count_os_calls(m)
+            got = handle.read_range("f", 40_000, 4096)
+        assert got == data[40_000:44_096]
+        assert counts == {"open": 1, "fstat": 1, "read": 2, "lseek": 0, "close": 1}
+        with handle.open("f") as f, monkeypatch.context() as m:
+            counts = _count_os_calls(m)
+            f.seek(70_000)
+            assert f.read(100) == data[70_000:70_100]
+            f.seek(10)
+            assert f.read(100) == data[10:110]
+        assert counts["lseek"] == 0 and counts["read"] == 2
+
+    def test_split_memo_is_bounded_and_emptied_by_lock(self, make_vault):
+        handle = make_vault(modes.ModeId.V1)
+        handle.write_file("d/f", b"data")
+        for i in range(10_000):
+            assert not handle.exists(f"new{i}/f")
+        assert handle.read_file("d/f") == b"data"
+        assert 0 < len(handle._splits) <= vault._LOOKUP_MEMO_SIZE
+        handle.lock()
+        assert handle._splits == {}
+        with pytest.raises(VaultLocked):
+            handle.read_file("d/f")
+        assert handle._splits == {}  # a locked handle memoizes no name
+
 
 class TestAtomicWrite:
     def test_failed_body_keeps_old_content_and_leaves_no_temp(self, tmp_path):
@@ -1601,6 +1648,76 @@ def _open_fds() -> int:
 def _temp_leftovers(handle, path):
     return [p for p in handle.map_path(path).parent.iterdir()
             if p.name.startswith(vault.TEMP_PREFIX)]
+
+
+def _count_os_calls(monkeypatch) -> dict[str, int]:
+    """Count the vault's os.open, os.fstat, reads of any kind, os.lseek and
+    os.close calls from now until `monkeypatch` is undone."""
+    counts = {"open": 0, "fstat": 0, "read": 0, "lseek": 0, "close": 0}
+    for name in ("open", "fstat", "read", "pread", "preadv", "readv", "lseek", "close"):
+        kind = "read" if "read" in name else name
+
+        def counting(*args, _real=getattr(vault.os, name), _kind=kind):
+            counts[_kind] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(vault.os, name, counting)
+    return counts
+
+
+def _flip(path, offset):
+    raw = bytearray(path.read_bytes())
+    raw[offset] ^= 0x01
+    path.write_bytes(bytes(raw))
+
+
+def _read_through_reader(handle, path):
+    with handle.open(path) as f:
+        return f.read()
+
+
+_READS = {
+    "read_file": lambda handle, path: handle.read_file(path),
+    "read_range": lambda handle, path: handle.read_range(path, 0, LARGE),
+    "FileReader": _read_through_reader,
+}
+
+
+class TestReadDescriptors:
+    """Every failing read closes the descriptor it opened."""
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("read", list(_READS))
+    def test_failed_reads_leave_no_descriptor(self, make_vault, mode, read):
+        handle = make_vault(mode)
+        call = _READS[read]
+        handle.make_dir("dir")
+        data = os.urandom(LARGE)  # two batches: the bad block is read by offset
+        for name in ("truncated", "header", "block"):
+            handle.write_file(name, data)
+        phys = {name: handle.map_path(name) for name in ("truncated", "header", "block")}
+        phys["truncated"].write_bytes(phys["truncated"].read_bytes()[:-1])
+        _flip(phys["header"], 16 + handle._keys().protected_size - 1)
+        _flip(phys["block"], phys["block"].stat().st_size - 1)
+        for path, error in (("dir", NotFound), ("truncated", MalformedBlock),
+                            ("header", AuthenticationFailure),
+                            ("block", AuthenticationFailure)):
+            baseline = _open_fds()
+            with pytest.raises(error):
+                call(handle, path)
+            assert _open_fds() == baseline, path
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_reader_on_a_locked_handle_closes(self, make_vault, mode):
+        handle = make_vault(mode)
+        handle.write_file("f", b"contents")
+        baseline = _open_fds()
+        with handle.open("f") as f:
+            assert f.read(4) == b"cont"
+            handle.lock()
+            with pytest.raises(VaultLocked):
+                f.read()
+        assert _open_fds() == baseline
 
 
 class TestWriteDurabilityOrder:
