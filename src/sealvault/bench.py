@@ -132,7 +132,6 @@ def _tree_sizes(spec: Workload) -> list[int]:
 def _write_random_file(path: Path, size: int, seed_key: list[int]) -> str:
     rng = np.random.default_rng(seed_key)
     h = sha256()
-    path.parent.mkdir(parents=True, exist_ok=True)
     with vault.atomic_write(path) as out:
         remaining = size
         while remaining > 0:
@@ -148,7 +147,6 @@ def generate_workload(spec: Workload, staging: str | Path) -> Manifest:
     if spec.total_bytes < 1:
         raise InvalidSpec("workload must be at least 1 byte")
     staging = Path(staging)
-    staging.mkdir(parents=True, exist_ok=True)
     if spec.kind is WorkloadKind.SINGLE:
         sizes = [spec.total_bytes]
         relpaths = ["single.bin"]
@@ -176,7 +174,6 @@ class _Target:
         self.mode = mode
         self.base = base
         self.corpus = corpus
-        base.mkdir(parents=True)
         if mode is BenchMode.PLAIN:
             self.handle = None
         else:

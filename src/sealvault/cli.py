@@ -96,6 +96,8 @@ def _load_platform(args: argparse.Namespace, required: bool) -> PlatformIdentity
 
 def _vault_lock(root: Path):
     """Advisory lock serializing mutating commands on one vault."""
+    if not root.is_dir():  # else the lock file would make it
+        raise VaultError(f"no vault directory at {root}")
     return vault_mod.exclusive_lock(root / ".lock", "another command")
 
 
@@ -131,14 +133,12 @@ def cmd_put(args: argparse.Namespace) -> int:
 
 
 def cmd_get(args: argparse.Namespace) -> int:
-    dst = Path(args.dst)
     with _open_vault(args) as handle:
         handle.read_range(args.vpath, 0, 0)  # a missing or bad file fails before dst is touched
-        dst.parent.mkdir(parents=True, exist_ok=True)
-        with vault_mod.atomic_write(dst) as out:
+        with vault_mod.atomic_write(args.dst) as out:
             written = handle.read_to(args.vpath, out)
     if args.verbose:
-        print(f"wrote {written} bytes to {dst}")
+        print(f"wrote {written} bytes to {args.dst}")
     return EXIT_OK
 
 

@@ -37,8 +37,9 @@ in memory. The caches only spare hashing and decide nothing: a lost or
 damaged `.stat` file means rehashing.
 
 Every local write (pulls, conflict copies, the state file, LocalDirStore
-objects) goes through `vault.atomic_write`, whose `.tmp-` names are never
-synced; nothing here fsyncs. The state file uses the vault's record framing.
+objects) goes through `vault.atomic_write`, which makes a missing parent
+directory and whose `.tmp-` names are never synced; nothing here fsyncs.
+The state file uses the vault's record framing.
 
 The HTTP backend speaks plain object semantics: GET/PUT/DELETE on
 <base>/<key>, an opaque version in the ETag header, If-Match for a
@@ -286,7 +287,6 @@ class LocalDirStore(RemoteStore):
             if precondition_version is not None:
                 self._require(key, path, precondition_version,
                               absent_ok=precondition_version == ABSENT)
-            path.parent.mkdir(parents=True, exist_ok=True)
             with atomic_write(path) as out:
                 out.write(data)
             self._digests.pop(key, None)
@@ -413,7 +413,6 @@ class SyncState:
     def save(self) -> None:
         if self.entries == self._stored_entries and self.path.is_file():
             return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
         _save_keyed(self.path, STATE_MAGIC, STATE_VERSION,
                     [(key, *value) for key, value in self.entries.items()], 2, _STATE_TAIL)
         self._stored_entries = dict(self.entries)
@@ -467,7 +466,6 @@ def sync(root: str | Path, store: RemoteStore, state: SyncState) -> SyncReport:
     progress is preserved: the state file is saved even when a transfer
     raises (StoreUnreachable is retryable), and then the stat cache.
     """
-    state.path.parent.mkdir(parents=True, exist_ok=True)
     with exclusive_lock(state.path.with_name(state.path.name + LOCK_SUFFIX), "another sync run"):
         return _sync_locked(Path(root).resolve(), store, state)
 
@@ -525,7 +523,6 @@ def _sync_locked(root: Path, store: RemoteStore, state: SyncState) -> SyncReport
         return True
 
     def store_local(key: str, target: Path, data: bytes, version: str) -> None:
-        target.parent.mkdir(parents=True, exist_ok=True)
         with atomic_write(target) as out:
             out.write(data)
         state.entries[key] = (version, sha256(data).digest())

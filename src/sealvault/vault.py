@@ -49,8 +49,9 @@ stores only wrapped or sealed secrets and is safe to sync to a remote.
 One helper does each recurring job, here and in `sync`, `cli` and `bench`:
 `atomic_write` writes every file (a .tmp-<hex> sibling, then os.replace;
 only a new entry's dirid.sc, in its fresh staging directory, is written
-directly), `pack_record`/`unpack_record` frame vault.cfg and sync.state,
-`exclusive_lock` takes the advisory lock of a CLI command or a sync run, and
+directly) and `exclusive_lock` takes the advisory lock of a CLI command or
+a sync run, each making a missing parent, so no caller makes one first;
+`pack_record`/`unpack_record` frame vault.cfg and sync.state, and
 `VaultHandle._entry` maps a path to its (parent dir id, physical entry).
 
 Each namespace step asks the filesystem one question, on plain str paths: a
@@ -121,7 +122,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from hashlib import sha256
 from pathlib import Path
-from typing import BinaryIO, Iterator
+from typing import IO, BinaryIO, Iterator
 
 from cryptography.exceptions import InvalidTag
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
@@ -261,15 +262,24 @@ def _rmdir_shard(shard: str) -> None:
         os.rmdir(shard)
 
 
+def _create(path: str | os.PathLike, mode: str) -> IO:
+    try:
+        return open(path, mode)
+    except FileNotFoundError:  # the parent directory is missing
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return open(path, mode)
+
+
 @contextmanager
 def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
     """Write `path` all or nothing: yield a binary file on a `.tmp-<hex>`
-    sibling and os.replace it over `path` when the body returns. A failure
-    removes the temp file and keeps the old content (ENOSPC is StorageFull).
-    Nothing is fsynced; a caller that needs durability fsyncs in the body."""
+    sibling and os.replace it over `path` when the body returns. A missing
+    parent is made (a synced replica may lack shard dirs for empty
+    directories). A failure removes the temp file and keeps the old content
+    (ENOSPC is StorageFull). Nothing is fsynced; a body may fsync."""
     tmp = _temp_sibling(path)
     try:
-        with open(tmp, "wb") as out:
+        with _create(tmp, "wb") as out:
             yield out
         os.replace(tmp, path)
     except BaseException as exc:
@@ -282,10 +292,10 @@ def atomic_write(path: str | os.PathLike) -> Iterator[BinaryIO]:
 
 @contextmanager
 def exclusive_lock(path: str | os.PathLike, holder: str) -> Iterator[None]:
-    """Hold an advisory exclusive flock on `path`, created if missing, for
-    the body. If it is already held, raise VaultError at once, naming
-    `holder` as the one that holds it."""
-    with open(path, "a+") as handle:
+    """Hold an advisory exclusive flock on `path`, created if missing (its
+    parent too), for the body. If it is already held, raise VaultError at
+    once, naming `holder` as the one that holds it."""
+    with _create(path, "a+") as handle:
         try:
             fcntl.flock(handle, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
@@ -703,11 +713,7 @@ class VaultHandle:
     def _entry(self, parts: list[str], create: bool = False) -> tuple[bytes, str]:
         """(parent dir id, physical entry) of a non-root path; `create` makes parents."""
         dir_id = self._resolve_dir(parts[:-1], create=create)
-        entry = self._lookup(self._keys().name_key, dir_id, parts[-1])[0]
-        if create:
-            # a synced replica may lack shard dirs for empty directories
-            os.makedirs(os.path.dirname(entry), exist_ok=True)
-        return dir_id, entry
+        return dir_id, self._lookup(self._keys().name_key, dir_id, parts[-1])[0]
 
     def _physical(self, logical_path: str) -> str:
         """`map_path` as a plain str."""
@@ -720,7 +726,7 @@ class VaultHandle:
 
     def exists(self, logical_path: str) -> bool:
         try:
-            return self.map_path(logical_path).exists()
+            return os.path.exists(self._physical(logical_path))
         except NotFound:
             return False
 
@@ -1160,7 +1166,7 @@ class FileWriter(io.RawIOBase):
         atomic = atomic_write(self._target)
         self._out = atomic.__enter__()
         self._atomic = atomic
-        self._out.write(header)  # buffered: it goes out with the first batch
+        self._out.write(header)  # buffered: sent with the blocks only for objects under ~7.5 KiB
         self._step = modes.BLOCK_SIZE + self._cipher.overhead
         self._fd, self._pos = self._out.fileno(), FILE_HEADER_SIZE
         self._buf: memoryview | None = None  # ciphertext of the current batch
@@ -1348,7 +1354,6 @@ def create_vault(
         enclave_measurement=measurement,
         enclave_signer=signer,
     )
-    root.mkdir(parents=True, exist_ok=True)
     with atomic_write(root / CONFIG_NAME) as out:
         out.write(config.to_bytes())
     # materialize the root directory's physical shard

@@ -108,6 +108,25 @@ class TestFileCommands:
         assert (env / "keep.bin").read_bytes() == b"previous"
         assert [p.name for p in env.iterdir() if p.name.startswith(".sealvault-get-")] == []
 
+    def test_get_into_missing_directory(self, env):
+        _init(env)
+        vaultdir = str(env / "vault")
+        src = env / "src.bin"
+        src.write_bytes(os.urandom(70_000))
+        assert cli.main(["put", str(src), "f.bin", "--vault", vaultdir]) == 0
+        dst = env / "new" / "deeper" / "f.bin"
+        assert cli.main(["get", "f.bin", str(dst), "--vault", vaultdir]) == 0
+        assert dst.read_bytes() == src.read_bytes()
+        assert [p.name for p in dst.parent.iterdir()] == ["f.bin"]
+
+    def test_command_on_missing_vault_makes_no_directory(self, env):
+        src = env / "src.bin"
+        src.write_bytes(b"v")
+        missing = str(env / "no-such-vault")
+        for argv in (["put", str(src), "f.bin"], ["rm", "f.bin"], ["mv", "f.bin", "g.bin"]):
+            assert cli.main([*argv, "--vault", missing]) == 1
+        assert not (env / "no-such-vault").exists()
+
     def test_failed_get_leaves_no_temp_file(self, env):
         _init(env)
         vaultdir = str(env / "vault")

@@ -161,6 +161,15 @@ class TestLocalDirStore:
         with pytest.raises(NotFound):
             store.get_object("a/b")
 
+    def test_put_under_new_prefix_makes_its_directories(self, tmp_path):
+        store = sync.LocalDirStore(tmp_path / "r")
+        with pytest.raises(PreconditionFailed):  # refused before anything is made
+            store.put_object("x/y/k", b"data", precondition_version="0" * 32)
+        assert list(store.root.iterdir()) == []
+        v = store.put_object("x/y/k", b"data", precondition_version=sync.ABSENT)
+        assert store.list("x/") == [("x/y/k", v, 4)]
+        assert [p.name for p in (store.root / "x" / "y").iterdir()] == ["k"]
+
     def test_precondition(self, tmp_path):
         store = sync.LocalDirStore(tmp_path / "r")
         v = store.put_object("k", b"one")
@@ -389,6 +398,13 @@ class TestSyncState:
         record = b"SSC1" + struct.pack("<II", 1, 2) + body
         assert (tmp_path / "s.stat").read_bytes() == record + sha256(record).digest()
         assert sync.SyncState(tmp_path / "s").stat_cache == state.stat_cache
+
+    def test_save_into_missing_directory(self, tmp_path):
+        state = sync.SyncState(tmp_path / "a" / "b" / "s")
+        state.entries["k"] = ("v1", bytes(32))
+        state.save()
+        assert sync.SyncState(tmp_path / "a" / "b" / "s").entries == state.entries
+        assert [p.name for p in (tmp_path / "a" / "b").iterdir()] == ["s"]
 
     def test_save_crash_keeps_old_state(self, tmp_path, monkeypatch):
         state = sync.SyncState(tmp_path / "s")
@@ -1049,6 +1065,20 @@ class TestStateWrites:
         assert not report.pushed
         assert state.path.is_file() and state.stat_path.is_file()
         assert sync.SyncState(state.path).entries == {}
+
+    def test_state_in_missing_directory(self, tmp_path):
+        """The run's lock file, the state file and its stat cache make the
+        state's directory."""
+        root, handle = _fresh_vault(tmp_path)
+        handle.write_file("one.bin", os.urandom(1000))
+        handle.lock()
+        store = sync.LocalDirStore(tmp_path / "remote")
+        state = sync.SyncState(tmp_path / "states" / "v" / "s")
+        assert len(sync.sync(root, store, state).pushed) == len(store.list(""))
+        assert sorted(p.name for p in state.path.parent.iterdir()) == ["s", "s.lock", "s.stat"]
+        assert sync.SyncState(state.path).entries == state.entries
+        report = sync.sync(root, store, state)
+        assert not report.pushed and not report.pulled and not report.conflicts
 
     def test_changed_rows_are_written(self, tmp_path):
         root = tmp_path / "r"; root.mkdir()

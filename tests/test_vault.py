@@ -27,6 +27,7 @@ from sealvault.errors import (
     StorageFull,
     TargetNotEmpty,
     UnsealFailure,
+    VaultError,
     VaultLocked,
     WrongPassword,
 )
@@ -1064,6 +1065,17 @@ class TestResolverErrors:
         assert handle.read_file("f") == b"file"
         assert [e.name for e in handle.list_dir("/")] == ["d", "f"]
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_exists(self, make_vault, mode):
+        handle = make_vault(mode)
+        handle.write_file("d/f", b"file")
+        handle.make_dir("e")
+        for path in ("d/f", "d", "e", "/", ""):
+            assert handle.exists(path), path
+        # a missing leaf, a missing parent at each depth, a file in the way
+        for path in ("d/g", "x/f", "x/y/f", "d/f/x"):
+            assert not handle.exists(path), path
+
 
 @pytest.fixture
 def reopen(platform):
@@ -1600,6 +1612,24 @@ class TestLookupCost:
             assert f.read(100) == data[10:110]
         assert counts["lseek"] == 0 and counts["read"] == 2
 
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_warm_overwrite_makes_no_mkdir_and_one_stat(self, make_vault, monkeypatch, mode):
+        """The shard is there, so nothing makes it: the one stat is the
+        replaced object's."""
+        handle = make_vault(mode)
+        handle.write_file("f", b"old")
+        counts = {"mkdir": 0, "stat": 0}
+        with monkeypatch.context() as m:
+            for name in counts:
+                def counting(*args, _real=getattr(vault.os, name), _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _real(*args, **kwargs)
+
+                m.setattr(vault.os, name, counting)
+            handle.write_file("f", b"new")
+        assert counts == {"mkdir": 0, "stat": 1}
+        assert handle.read_file("f") == b"new"
+
     def test_split_memo_is_bounded_and_emptied_by_lock(self, make_vault):
         handle = make_vault(modes.ModeId.V1)
         handle.write_file("d/f", b"data")
@@ -1634,6 +1664,38 @@ class TestAtomicWrite:
             with vault.atomic_write(tmp_path / "obj"):
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
         assert list(tmp_path.iterdir()) == []
+
+    def test_missing_parents_are_made(self, tmp_path):
+        target = tmp_path / "a" / "b" / "obj"
+        with vault.atomic_write(target) as out:
+            out.write(b"data")
+        assert target.read_bytes() == b"data"
+        assert [p.name for p in target.parent.iterdir()] == ["obj"]
+
+    def test_failed_body_in_made_parent_leaves_parent_and_no_temp(self, tmp_path):
+        with pytest.raises(RuntimeError):
+            with vault.atomic_write(tmp_path / "new" / "obj") as out:
+                out.write(b"half")
+                raise RuntimeError("simulated crash mid-write")
+        assert list((tmp_path / "new").iterdir()) == []
+
+    def test_enospc_in_made_parent_is_storage_full(self, tmp_path):
+        with pytest.raises(StorageFull):
+            with vault.atomic_write(tmp_path / "new" / "obj"):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert list((tmp_path / "new").iterdir()) == []
+
+
+class TestExclusiveLock:
+    def test_lock_in_missing_directory(self, tmp_path):
+        path = tmp_path / "a" / "b" / ".lock"
+        with vault.exclusive_lock(path, "the first holder"):
+            assert path.is_file()
+            with pytest.raises(VaultError, match="the first holder holds the lock"):
+                with vault.exclusive_lock(path, "the first holder"):
+                    pass
+        with vault.exclusive_lock(path, "the first holder"):
+            pass
 
 
 # Cleartext of a previous version whose object write_file holds across the
